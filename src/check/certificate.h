@@ -98,10 +98,12 @@ class CertificateChecker {
   /// claims to honor (used for the event-cap check); `effective_cap_watts`
   /// is the cap the solver was actually given (the perturb rung shaves it
   /// slightly), used to rebuild the model rows the duals price. For an
-  /// unmodified solve pass the same value twice.
-  CertificateVerdict verify(const core::WindowedLpResult& result,
-                            double job_cap_watts,
-                            double effective_cap_watts) const;
+  /// unmodified solve pass the same value twice. `threads` spreads the
+  /// per-window checks like a windowed solve; the verdict is the same.
+  CertificateVerdict verify(
+      const core::WindowedLpResult& result, double job_cap_watts,
+      double effective_cap_watts,
+      core::WindowThreads threads = core::WindowThreads::kSerial) const;
 
  private:
   struct Impl;

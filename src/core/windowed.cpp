@@ -3,80 +3,18 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "dag/windows.h"
+#include "util/parallel.h"
 
 namespace powerlim::core {
-
-namespace {
-
-/// Shared per-window driver; `make_options` sees each window's
-/// formulation (to derive window-local deadlines) and returns the solve
-/// options for it.
-template <typename MakeOptions>
-WindowedLpResult solve_windows(const dag::TaskGraph& graph,
-                               const machine::PowerModel& model,
-                               const machine::ClusterSpec& cluster,
-                               MakeOptions&& make_options) {
-  WindowedLpResult out;
-  out.schedule.shares.assign(graph.num_edges(), {});
-  out.schedule.duration.assign(graph.num_edges(), 0.0);
-  out.schedule.power.assign(graph.num_edges(), 0.0);
-  out.vertex_time.assign(graph.num_vertices(), 0.0);
-  out.frontiers.resize(graph.num_edges());
-
-  const std::vector<dag::Window> windows = dag::split_at_barriers(graph);
-  double offset = 0.0;
-  for (std::size_t w = 0; w < windows.size(); ++w) {
-    const dag::Window& win = windows[w];
-    const LpFormulation form(win.graph, model, cluster);
-    out.min_feasible_power =
-        std::max(out.min_feasible_power, form.min_feasible_power());
-    const LpScheduleResult res = form.solve(make_options(form));
-    out.iterations += res.iterations;
-    out.energy_joules += res.energy_joules;
-    out.power_price_s_per_watt += res.power_price_s_per_watt;
-    out.degenerate_pivots += res.degenerate_pivots;
-    out.refactor_count += res.refactor_count;
-    out.bland_engaged = out.bland_engaged || res.bland_engaged;
-    out.primal_infeasibility =
-        std::max(out.primal_infeasibility, res.primal_infeasibility);
-    out.eta_nonzeros += res.eta_nonzeros;
-    out.lu_fill_ratio = std::max(out.lu_fill_ratio, res.lu_fill_ratio);
-    out.window_duals.push_back(res.row_duals);
-    if (!res.optimal()) {
-      out.status = res.status;
-      out.failed_window = static_cast<int>(w);
-      return out;
-    }
-    for (std::size_t wv = 0; wv < win.graph.num_vertices(); ++wv) {
-      out.vertex_time[win.vertex_map[wv]] = offset + res.vertex_time[wv];
-    }
-    for (std::size_t we = 0; we < win.graph.num_edges(); ++we) {
-      const int orig = win.edge_map[we];
-      out.schedule.shares[orig] = res.schedule.shares[we];
-      out.schedule.duration[orig] = res.schedule.duration[we];
-      out.schedule.power[orig] = res.schedule.power[we];
-      out.frontiers[orig] = form.frontiers()[we];
-    }
-    for (double p : res.event_power) {
-      out.peak_event_power = std::max(out.peak_event_power, p);
-    }
-    offset += res.makespan;
-  }
-  out.makespan = offset;
-  out.status = lp::SolveStatus::kOptimal;
-  return out;
-}
-
-}  // namespace
 
 WindowedLpResult solve_windowed_lp(const dag::TaskGraph& graph,
                                    const machine::PowerModel& model,
                                    const machine::ClusterSpec& cluster,
                                    const LpScheduleOptions& options) {
-  return solve_windows(graph, model, cluster,
-                       [&](const LpFormulation&) { return options; });
+  return WindowSweeper(graph, model, cluster).solve(options);
 }
 
 WindowedLpResult solve_windowed_energy_lp(const dag::TaskGraph& graph,
@@ -87,15 +25,15 @@ WindowedLpResult solve_windowed_energy_lp(const dag::TaskGraph& graph,
   if (slowdown_allowance < 0.0) {
     throw std::invalid_argument("solve_windowed_energy_lp: allowance < 0");
   }
-  return solve_windows(graph, model, cluster,
-                       [&](const LpFormulation& form) {
-                         LpScheduleOptions o;
-                         o.power_cap = power_cap;
-                         o.objective = LpObjective::kEnergy;
-                         o.max_makespan = (1.0 + slowdown_allowance) *
-                                          form.unconstrained_makespan();
-                         return o;
-                       });
+  return WindowSweeper(graph, model, cluster)
+      .solve([&](const LpFormulation& form) {
+        LpScheduleOptions o;
+        o.power_cap = power_cap;
+        o.objective = LpObjective::kEnergy;
+        o.max_makespan =
+            (1.0 + slowdown_allowance) * form.unconstrained_makespan();
+        return o;
+      });
 }
 
 struct WindowSweeper::Impl {
@@ -160,8 +98,16 @@ double WindowSweeper::unconstrained_makespan() const {
   return total;
 }
 
-WindowedLpResult WindowSweeper::solve(const LpScheduleOptions& options) const {
-  const dag::TaskGraph& graph = *impl_->graph;
+WindowedLpResult WindowSweeper::solve(const LpScheduleOptions& options,
+                                      WindowThreads threads) const {
+  return solve([&options](const LpFormulation&) { return options; },
+               threads);
+}
+
+WindowedLpResult WindowSweeper::solve(const WindowOptions& make_options,
+                                      WindowThreads threads) const {
+  const Impl& im = *impl_;
+  const dag::TaskGraph& graph = *im.graph;
   WindowedLpResult out;
   out.schedule.shares.assign(graph.num_edges(), {});
   out.schedule.duration.assign(graph.num_edges(), 0.0);
@@ -170,48 +116,71 @@ WindowedLpResult WindowSweeper::solve(const LpScheduleOptions& options) const {
   out.frontiers.resize(graph.num_edges());
   out.min_feasible_power = min_feasible_power();
 
+  // A window's solve writes only its own slot (its result and a private
+  // copy of its warm start), so it may run on any thread. The stitch reads
+  // the slots back in window order and commits each warm start only when
+  // it stitches that window, which leaves slots past a failure untouched.
+  struct Slot {
+    LpScheduleResult res;
+    lp::WarmStart warm;
+    bool warmed = false;
+  };
+  std::vector<Slot> slots(im.windows.size());
   double offset = 0.0;
-  for (std::size_t w = 0; w < impl_->windows.size(); ++w) {
-    const dag::Window& win = impl_->windows[w];
-    const LpFormulation& form = *impl_->forms[w];
-    LpScheduleOptions per_window = options;
-    if (!options.discrete && per_window.warm == nullptr) {
-      per_window.warm = &impl_->warm[w];
-    }
-    const LpScheduleResult res = form.solve(per_window);
-    out.iterations += res.iterations;
-    out.energy_joules += res.energy_joules;
-    out.power_price_s_per_watt += res.power_price_s_per_watt;
-    out.degenerate_pivots += res.degenerate_pivots;
-    out.refactor_count += res.refactor_count;
-    out.bland_engaged = out.bland_engaged || res.bland_engaged;
-    out.primal_infeasibility =
-        std::max(out.primal_infeasibility, res.primal_infeasibility);
-    out.eta_nonzeros += res.eta_nonzeros;
-    out.lu_fill_ratio = std::max(out.lu_fill_ratio, res.lu_fill_ratio);
-    out.window_duals.push_back(res.row_duals);
-    if (!res.optimal()) {
-      out.status = res.status;
-      out.failed_window = static_cast<int>(w);
-      return out;
-    }
-    for (std::size_t wv = 0; wv < win.graph.num_vertices(); ++wv) {
-      out.vertex_time[win.vertex_map[wv]] = offset + res.vertex_time[wv];
-    }
-    for (std::size_t we = 0; we < win.graph.num_edges(); ++we) {
-      const int orig = win.edge_map[we];
-      out.schedule.shares[orig] = res.schedule.shares[we];
-      out.schedule.duration[orig] = res.schedule.duration[we];
-      out.schedule.power[orig] = res.schedule.power[we];
-      out.frontiers[orig] = form.frontiers()[we];
-    }
-    for (double p : res.event_power) {
-      out.peak_event_power = std::max(out.peak_event_power, p);
-    }
-    offset += res.makespan;
+  util::ordered_parallel_for(
+      im.windows.size(), threads == WindowThreads::kPerCpu,
+      [&](std::size_t w) {
+        Slot& slot = slots[w];
+        LpScheduleOptions o = make_options(*im.forms[w]);
+        o.warm = nullptr;
+        if (!o.discrete) {
+          slot.warm = im.warm[w];
+          slot.warmed = true;
+          o.warm = &slot.warm;
+        }
+        slot.res = im.forms[w]->solve(o);
+        return slot.res.optimal();
+      },
+      [&](std::size_t w) {
+        Slot slot = std::move(slots[w]);
+        if (slot.warmed) im.warm[w] = std::move(slot.warm);
+        LpScheduleResult& res = slot.res;
+        out.iterations += res.iterations;
+        out.energy_joules += res.energy_joules;
+        out.power_price_s_per_watt += res.power_price_s_per_watt;
+        out.degenerate_pivots += res.degenerate_pivots;
+        out.refactor_count += res.refactor_count;
+        out.bland_engaged = out.bland_engaged || res.bland_engaged;
+        out.primal_infeasibility =
+            std::max(out.primal_infeasibility, res.primal_infeasibility);
+        out.eta_nonzeros += res.eta_nonzeros;
+        out.lu_fill_ratio = std::max(out.lu_fill_ratio, res.lu_fill_ratio);
+        out.window_duals.push_back(std::move(res.row_duals));
+        if (!res.optimal()) {
+          out.status = res.status;
+          out.failed_window = static_cast<int>(w);
+          return;
+        }
+        const dag::Window& win = im.windows[w];
+        for (std::size_t wv = 0; wv < win.graph.num_vertices(); ++wv) {
+          out.vertex_time[win.vertex_map[wv]] = offset + res.vertex_time[wv];
+        }
+        for (std::size_t we = 0; we < win.graph.num_edges(); ++we) {
+          const int orig = win.edge_map[we];
+          out.schedule.shares[orig] = std::move(res.schedule.shares[we]);
+          out.schedule.duration[orig] = res.schedule.duration[we];
+          out.schedule.power[orig] = res.schedule.power[we];
+          out.frontiers[orig] = im.forms[w]->frontiers()[we];
+        }
+        for (double p : res.event_power) {
+          out.peak_event_power = std::max(out.peak_event_power, p);
+        }
+        offset += res.makespan;
+      });
+  if (out.failed_window < 0) {
+    out.makespan = offset;
+    out.status = lp::SolveStatus::kOptimal;
   }
-  out.makespan = offset;
-  out.status = lp::SolveStatus::kOptimal;
   return out;
 }
 

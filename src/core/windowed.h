@@ -4,9 +4,12 @@
 // barrier window of the trace (see dag/windows.h for why this is exact)
 // and stitches the results back together on original edge/vertex ids.
 // This is the production entry point for paper-scale sweeps: cost is
-// linear in the number of iterations instead of cubic.
+// linear in the number of iterations instead of cubic. Because the
+// windows are independent, one solve may also spread them over threads
+// (WindowThreads); the stitched result is the same either way.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -59,8 +62,27 @@ struct WindowedLpResult {
   bool optimal() const { return status == lp::SolveStatus::kOptimal; }
 };
 
-/// Solves each window under the same job-level cap. Returns on first
-/// infeasible/failed window with that window's status.
+/// How one windowed solve schedules its independent windows. Either way
+/// the result is identical: the lowest failing window decides the status,
+/// and counters are summed in window order up to it.
+enum class WindowThreads {
+  /// In window order on the calling thread. Cap sweeps use this: their
+  /// caps are already the parallel axis (workers, serve-workers, daemon
+  /// executors), and windows in flight at once multiply peak memory.
+  kSerial,
+  /// One thread per CPU in the process's affinity mask, capped at the
+  /// window count (util::ordered_parallel_for). A single bound uses this.
+  kPerCpu,
+};
+
+/// Per-window solve options, derived from that window's formulation
+/// (e.g. a deadline relative to its unconstrained makespan). Called once
+/// per window, possibly from several threads at once.
+using WindowOptions = std::function<LpScheduleOptions(const LpFormulation&)>;
+
+/// Solves each window under the same job-level cap (one-shot
+/// WindowSweeper). Stops at the first infeasible/failed window with that
+/// window's status.
 WindowedLpResult solve_windowed_lp(const dag::TaskGraph& graph,
                                    const machine::PowerModel& model,
                                    const machine::ClusterSpec& cluster,
@@ -83,8 +105,8 @@ WindowedLpResult solve_windowed_energy_lp(const dag::TaskGraph& graph,
 /// formulation (frontiers, initial schedule, event sets - all
 /// cap-independent) exactly once, then solves any number of caps against
 /// the prebuilt structures. Use this for Figure 9-style grids,
-/// `powerlim sweep`, and job profiling; a one-shot solve is equivalent to
-/// the free functions above.
+/// `powerlim sweep`, and job profiling; the free functions above are
+/// one-shot sweepers.
 class WindowSweeper {
  public:
   /// `hooks` (optional, not owned; must outlive the sweeper) is the
@@ -97,9 +119,15 @@ class WindowSweeper {
   WindowSweeper(WindowSweeper&&) noexcept;
   WindowSweeper& operator=(WindowSweeper&&) noexcept;
 
-  /// Solves all windows under `options` (same semantics as
-  /// solve_windowed_lp).
-  WindowedLpResult solve(const LpScheduleOptions& options) const;
+  /// Solves all windows under `options`; stops at the first window that
+  /// is not optimal. Continuous solves warm-start each window from, and
+  /// save its basis into, this sweeper's per-window slot (options.warm is
+  /// not consulted); slots after a failed window are left untouched.
+  WindowedLpResult solve(const LpScheduleOptions& options,
+                         WindowThreads threads = WindowThreads::kSerial) const;
+  /// Same, with each window's options from `make_options`.
+  WindowedLpResult solve(const WindowOptions& make_options,
+                         WindowThreads threads = WindowThreads::kSerial) const;
 
   /// Drops the internal per-window warm-start cache. The retry ladder
   /// uses this to guarantee a genuinely cold re-solve after a warm-started

@@ -814,7 +814,10 @@ class DenseSimplex final : public SimplexCore {
   }
 
   /// Rebuilds Binv by Gauss-Jordan with partial pivoting and recomputes the
-  /// basic values exactly from the nonbasic point.
+  /// basic values exactly from the nonbasic point. The inverse is built in
+  /// binv_'s own storage, so the peak is two m x m matrices (B and Binv),
+  /// not three. A singular basis leaves binv_ clobbered; every caller of a
+  /// failed refactor re-seeds it (on_basis_initialized) or gives up.
   void refactor() override {
     ScopedTimer t(opt_.collect_timing, &stats_.factor_ns);
     pivots_since_refactor_ = 0;
@@ -828,7 +831,8 @@ class DenseSimplex final : public SimplexCore {
       }
     }
     // Invert [B | I] -> [I | Binv].
-    std::vector<double> inv(m_ * m_, 0.0);
+    std::vector<double>& inv = binv_;
+    inv.assign(m_ * m_, 0.0);
     for (std::size_t i = 0; i < m_; ++i) inv[i * m_ + i] = 1.0;
     for (std::size_t col = 0; col < m_; ++col) {
       std::size_t piv_row = col;
@@ -860,7 +864,6 @@ class DenseSimplex final : public SimplexCore {
         kernels::axpy(m_, -f, &inv[col * m_], &inv[r * m_]);
       }
     }
-    binv_ = std::move(inv);
 
     // Recompute basic values: x_B = Binv * (0 - N x_N).
     std::vector<double> rhs(m_, 0.0);

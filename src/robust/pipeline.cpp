@@ -20,6 +20,19 @@
 
 namespace powerlim::robust {
 
+namespace {
+
+/// A sweep's caps are its parallel axis (in-process, fork workers, daemon
+/// executors), so every cap solves its windows serially: spreading them
+/// too would put several windows' working sets in flight per cap and
+/// raise the sweep's peak memory for no gain (DESIGN.md, "Parallelism").
+SolveDriverOptions serial_windows(SolveDriverOptions options) {
+  options.window_threads = core::WindowThreads::kSerial;
+  return options;
+}
+
+}  // namespace
+
 Result<dag::TaskGraph> load_trace_checked(const std::string& path) {
   try {
     return dag::load_trace(path);
@@ -55,7 +68,7 @@ std::vector<SolveOutcome> sweep_caps(const dag::TaskGraph& graph,
                                      const machine::ClusterSpec& cluster,
                                      const std::vector<double>& job_caps,
                                      const SolveDriverOptions& options) {
-  const SolveDriver driver(graph, model, cluster, options);
+  const SolveDriver driver(graph, model, cluster, serial_windows(options));
   return driver.sweep(job_caps);
 }
 
@@ -164,7 +177,8 @@ Result<ResilientSweepResult> parallel_resilient_sweep(
     spec.job_cap_watts = cap;
     spec.run = [&graph, &model, &cluster, &options, cap](int attempt) {
       maybe_execute_worker_fault(cap, attempt);
-      const SolveDriver driver(graph, model, cluster, options.driver);
+      const SolveDriver driver(graph, model, cluster,
+                               serial_windows(options.driver));
       SolveOutcome o = driver.solve(cap);
       o.report.worker.isolated = true;
       o.report.worker.spawns = attempt + 1;
@@ -378,7 +392,8 @@ Result<ResilientSweepResult> distributed_resilient_sweep(
     spec.job_cap_watts = cap;
     spec.run = [&graph, &model, &cluster, &options, cap](int attempt) {
       maybe_execute_worker_fault(cap, attempt);
-      const SolveDriver driver(graph, model, cluster, options.driver);
+      const SolveDriver driver(graph, model, cluster,
+                               serial_windows(options.driver));
       SolveOutcome o = driver.solve(cap);
       o.report.worker.isolated = true;
       o.report.worker.spawns = attempt + 1;
@@ -480,7 +495,7 @@ Result<ResilientSweepResult> resilient_sweep(
     out.recovery = journal->recovery();
   }
 
-  SolveDriverOptions driver_opt = options.driver;
+  SolveDriverOptions driver_opt = serial_windows(options.driver);
   driver_opt.deadline =
       util::Deadline::sooner(driver_opt.deadline, options.deadline);
   const SolveDriver driver(graph, model, cluster, driver_opt);

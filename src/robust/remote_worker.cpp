@@ -205,6 +205,9 @@ bool send_frame(int fd, char tag, const std::string& payload) {
   std::string solution;
   try {
     SolveDriverOptions opt;
+    // One cap per child: the distributed sweep's caps are the parallel
+    // axis, so this solve keeps its windows serial.
+    opt.window_threads = core::WindowThreads::kSerial;
     opt.cap_deadline_ms = config.cap_deadline_ms;
     opt.validate_replay = config.validate_replay;
     opt.verify_certificate = lie ? false : config.verify_certificate;

@@ -453,7 +453,8 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
         };
       }
       try {
-        core::WindowedLpResult res = im.sweeper->solve(o);
+        core::WindowedLpResult res =
+            im.sweeper->solve(o, im.options.window_threads);
         if (faulted && plan->corrupt_solution_epsilon > 0.0 &&
             res.optimal()) {
           // "Too good to be true": shrink the claimed bound after the
@@ -497,8 +498,8 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
             }
           }
           if (accepted && im.options.verify_certificate) {
-            const check::CertificateVerdict v =
-                im.ensure_checker().verify(res, job_cap_watts, o.power_cap);
+            const check::CertificateVerdict v = im.ensure_checker().verify(
+                res, job_cap_watts, o.power_cap, im.options.window_threads);
             rep.certificate.checked = true;
             rep.certificate.ok = v.checked && v.ok;
             rep.certificate.duality_checked = v.duality_checked;

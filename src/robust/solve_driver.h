@@ -279,6 +279,11 @@ struct SolveDriverOptions {
   /// Base LP options; power_cap is overwritten per solve and the ladder
   /// adjusts simplex knobs per rung.
   core::LpScheduleOptions lp;
+  /// How each rung's windowed solve and certificate check spread the
+  /// trace's barrier windows. A single bound goes wide; cap sweeps
+  /// (robust/pipeline.cpp, robust/remote_worker.cpp) pick kSerial because
+  /// their caps are already the parallel axis. Results are identical.
+  core::WindowThreads window_threads = core::WindowThreads::kPerCpu;
   /// Replay-validate optimal schedules against the cap before accepting.
   bool validate_replay = true;
   /// Re-verify every optimal solve with the exact certificate checker

@@ -25,7 +25,8 @@ const machine::PowerModel& test_model() {
 }
 
 double comfortable_cap(const dag::TaskGraph& g) {
-  const SolveDriver probe(g, test_model(), machine::ClusterSpec{}, {});
+  const machine::ClusterSpec cluster;  // the driver keeps a reference
+  const SolveDriver probe(g, test_model(), cluster, {});
   const SolveOutcome out = probe.solve(1e6);
   return out.report.min_feasible_power_watts * 1.3;
 }

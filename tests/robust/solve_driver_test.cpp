@@ -5,11 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <regex>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "apps/benchmarks.h"
 #include "core/windowed.h"
+#include "dag/windows.h"
 #include "machine/power_model.h"
+#include "robust/fault_injection.h"
 
 namespace powerlim::robust {
 namespace {
@@ -134,6 +141,106 @@ TEST(SolveDriver, ReportsToJsonMakesAnArray) {
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"verdict\":\"infeasible-cap\""), std::string::npos);
   EXPECT_NE(json.find("\"verdict\":\"ok\""), std::string::npos);
+}
+
+// --- Parallel windows: a single bound's report is the serial one ---
+
+/// The report minus its only timing field.
+std::string without_wall(const RunReport& rep) {
+  return std::regex_replace(rep.to_json(), std::regex("\"wall_ms\":[^,]*,"),
+                            "");
+}
+
+/// Solves `cap` with serial and with per-CPU windows; the RunReports must
+/// match byte for byte (modulo wall_ms) and the bounds bit for bit.
+std::pair<SolveOutcome, SolveOutcome> solve_both(const dag::TaskGraph& g,
+                                                 double cap,
+                                                 SolveDriverOptions opt = {}) {
+  opt.window_threads = core::WindowThreads::kSerial;
+  const SolveOutcome serial = SolveDriver(g, kModel, kCluster, opt).solve(cap);
+  opt.window_threads = core::WindowThreads::kPerCpu;
+  const SolveOutcome wide = SolveDriver(g, kModel, kCluster, opt).solve(cap);
+  EXPECT_EQ(without_wall(serial.report), without_wall(wide.report));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.report.bound_seconds),
+            std::bit_cast<std::uint64_t>(wide.report.bound_seconds));
+  return {serial, wide};
+}
+
+TEST(ParallelWindows, ReportMatchesSerialOnFourApps) {
+  const std::vector<std::pair<const char*, dag::TaskGraph>> apps = {
+      {"comd", apps::make_comd({.ranks = 4, .iterations = 6})},
+      {"lulesh", apps::make_lulesh({.ranks = 4, .iterations = 5})},
+      {"sp", apps::make_sp({.ranks = 4, .iterations = 5})},
+      {"bt", apps::make_bt({.ranks = 4, .iterations = 5})}};
+  for (const auto& [name, g] : apps) {
+    SCOPED_TRACE(name);
+    const auto [serial, wide] = solve_both(g, 4 * 55.0);
+    EXPECT_TRUE(serial.ok()) << serial.report.detail;
+    EXPECT_TRUE(serial.report.certificate.ok);
+  }
+}
+
+TEST(ParallelWindows, ExpiredDeadlineMatchesSerial) {
+  SolveDriverOptions opt;
+  opt.deadline = util::Deadline::after(0.0);
+  const auto [serial, wide] =
+      solve_both(apps::make_comd({.ranks = 4, .iterations = 6}), 4 * 50.0,
+                 opt);
+  EXPECT_EQ(serial.report.verdict, StatusCode::kDeadlineExceeded);
+}
+
+TEST(ParallelWindows, CoefficientNoiseMatchesSerial) {
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.coefficient_noise_magnitude = 8.0;
+  const ScopedFaultPlan scope(plan);
+  const auto [serial, wide] =
+      solve_both(apps::make_comd({.ranks = 4, .iterations = 6}), 4 * 60.0);
+  EXPECT_TRUE(serial.report.fault_active);
+}
+
+TEST(ParallelWindows, ThrowingWindowDegradesLikeSerial) {
+  // Every window whose LP has as many rows as window 2's throws, naming
+  // its own coefficients; the attempt must record the lowest such window's
+  // message, as the serial loop does, instead of std::terminate.
+  const dag::TaskGraph g = apps::make_comd({.ranks = 4, .iterations = 6});
+  const double cap = 4 * 55.0;
+  const std::vector<dag::Window> windows = dag::split_at_barriers(g);
+  ASSERT_GT(windows.size(), 3u);
+  const std::size_t rows = core::LpFormulation(windows[2].graph, kModel,
+                                               kCluster)
+                               .build_model({.power_cap = cap})
+                               .model.num_constraints();
+  SolveDriverOptions opt;
+  opt.lp.mutate_model = [rows](lp::Model& m) {
+    if (m.num_constraints() != rows) return;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < m.num_constraints(); ++i) {
+      const lp::Model::RowView row = m.row(static_cast<int>(i));
+      for (std::size_t t = 0; t < row.size; ++t) sum += row.coeff[t];
+    }
+    throw std::runtime_error("boom " + std::to_string(sum));
+  };
+  const auto [serial, wide] = solve_both(g, cap, opt);
+  ASSERT_FALSE(serial.report.attempts.empty());
+  EXPECT_EQ(serial.report.attempts[0].outcome, StatusCode::kInternal);
+  EXPECT_EQ(serial.report.attempts[0].detail.rfind("boom ", 0), 0u);
+  EXPECT_TRUE(serial.report.degraded);
+}
+
+TEST(ParallelWindows, CertificateFailureMatchesSerial) {
+  FaultPlan plan;
+  plan.corrupt_solution_epsilon = 1e-3;
+  const ScopedFaultPlan scope(plan);
+  const auto [serial, wide] =
+      solve_both(apps::make_comd({.ranks = 4, .iterations = 6}), 4 * 55.0);
+  EXPECT_EQ(serial.report.verdict, StatusCode::kCertificateFailed);
+  EXPECT_TRUE(serial.report.certificate.checked);
+  EXPECT_FALSE(serial.report.certificate.ok);
+  EXPECT_FALSE(serial.report.certificate.detail.empty());
+  EXPECT_EQ(serial.report.certificate.detail, wide.report.certificate.detail);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.report.certificate.max_violation),
+            std::bit_cast<std::uint64_t>(wide.report.certificate.max_violation));
 }
 
 }  // namespace
