@@ -269,21 +269,44 @@ std::size_t journal_header_bytes() {
 }
 
 std::uint32_t crc32(const void* data, std::size_t len) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: t[k][b] is the CRC of byte b followed by k zero bytes,
+  // so eight table lookups fold eight input bytes per step. t[0] is the
+  // classic bytewise table, which finishes the unaligned tail.
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> tab{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      tab[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        tab[k][i] = (tab[k - 1][i] >> 8) ^ tab[0][tab[k - 1][i] & 0xFFu];
+      }
+    }
+    return tab;
   }();
+  // Words are assembled from bytes (little-endian by construction), so
+  // the loop needs no aligned or type-punned loads on any host.
+  const auto word = [](const unsigned char* b) {
+    return static_cast<std::uint32_t>(b[0]) |
+           static_cast<std::uint32_t>(b[1]) << 8 |
+           static_cast<std::uint32_t>(b[2]) << 16 |
+           static_cast<std::uint32_t>(b[3]) << 24;
+  };
   std::uint32_t crc = 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const std::uint32_t lo = word(p) ^ crc;
+    const std::uint32_t hi = word(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

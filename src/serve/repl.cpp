@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <utility>
 
@@ -40,6 +41,26 @@ std::string journal_path(const std::string& state_dir,
 std::string trace_path(const std::string& state_dir,
                        const std::string& hash) {
   return state_dir + "/trace-" + hash + ".trace";
+}
+
+std::string trace_hash(const std::string& text) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%08x",
+                robust::crc32(text.data(), text.size()));
+  return buf;
+}
+
+SnapshotMatch match_trace_snapshot(const std::string& state_dir,
+                                   const std::string& hash,
+                                   const std::string& text) {
+  std::string bytes;
+  if (!read_file_range(trace_path(state_dir, hash), 0,
+                       std::numeric_limits<std::size_t>::max(), &bytes)) {
+    return errno == ENOENT ? SnapshotMatch::kAbsent : SnapshotMatch::kTorn;
+  }
+  if (bytes == text) return SnapshotMatch::kSame;
+  return trace_hash(bytes) == hash ? SnapshotMatch::kCollision
+                                   : SnapshotMatch::kTorn;
 }
 
 bool valid_trace_hash(const std::string& hash) {
@@ -92,29 +113,9 @@ std::uint64_t load_epoch_file(const std::string& state_dir) {
 bool store_epoch_file(const std::string& state_dir, std::uint64_t epoch,
                       std::string* error) {
   const std::string path = state_dir + "/epoch";
-  const std::string tmp = path + ".tmp";
-  const std::string body = "epoch=" + std::to_string(epoch) + "\n";
-  const int fd = ::open(tmp.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    if (error) *error = errno_message(("open " + tmp).c_str());
-    return false;
-  }
-  if (util::write_full(fd, body.data(), body.size()) != 0 ||
-      util::fsync_full(fd) != 0) {
-    if (error) *error = errno_message(("write " + tmp).c_str());
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (error) *error = errno_message(("rename " + tmp).c_str());
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  if (util::fsync_parent_dir(path) != 0) {
-    if (error) *error = errno_message(("fsync dir of " + path).c_str());
+  if (util::write_file_atomic(path, "epoch=" + std::to_string(epoch) +
+                                        "\n") != 0) {
+    if (error) *error = errno_message(("write " + path).c_str());
     return false;
   }
   return true;
@@ -420,24 +421,22 @@ void StandbyLink::handle_trace(const std::string& payload) {
     drop_link("hostile trace hash");
     return;
   }
-  const std::string path = trace_path(opt_.state_dir, trace.hash);
-  // O_EXCL: trace snapshots are immutable once taken (the hash *is* the
-  // content key), so a re-sent snapshot after a reconnect is a no-op.
-  const int fd = ::open(path.c_str(),
-                        O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    if (errno == EEXIST) return;
-    log_ << "powerlimd: standby: cannot write " << path << ": "
-         << std::strerror(errno) << "\n";
+  // Snapshots are content-keyed and immutable once intact, so a re-sent
+  // snapshot after a reconnect is a no-op; bytes that do not hash to
+  // their name are never stored, and a torn local copy is replaced.
+  if (trace_hash(trace.trace_text) != trace.hash) {
+    rejected_++;
+    log_ << "powerlimd: standby: trace " << trace.hash
+         << " does not match its hash; not stored\n";
     return;
   }
-  const bool ok = util::write_full(fd, trace.trace_text.data(),
-                                   trace.trace_text.size()) == 0 &&
-                  util::fsync_full(fd) == 0;
-  ::close(fd);
-  if (!ok || util::fsync_parent_dir(path) != 0) {
-    log_ << "powerlimd: standby: cannot persist " << path << "\n";
-    ::unlink(path.c_str());
+  const SnapshotMatch local =
+      match_trace_snapshot(opt_.state_dir, trace.hash, trace.trace_text);
+  if (local != SnapshotMatch::kAbsent && local != SnapshotMatch::kTorn) return;
+  const std::string path = trace_path(opt_.state_dir, trace.hash);
+  if (util::write_file_atomic(path, trace.trace_text) != 0) {
+    log_ << "powerlimd: standby: cannot persist " << path << ": "
+         << std::strerror(errno) << "\n";
   }
 }
 

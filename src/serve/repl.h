@@ -49,6 +49,28 @@ std::string journal_path(const std::string& state_dir,
 std::string trace_path(const std::string& state_dir,
                        const std::string& hash);
 
+/// crc32 of the trace text as 8 lowercase hex digits: the per-trace key
+/// under a state dir. Requests for the same graph share one journal
+/// (and its proven caps) no matter which client sends them.
+std::string trace_hash(const std::string& text);
+
+/// How the snapshot `trace-<hash>.trace` under a state dir relates to
+/// trace text whose trace_hash is `hash`. The crc32 key is 32 bits, so
+/// equal hashes do not prove equal traces: only kSame lets a request
+/// use the journal of that hash. Snapshots are written with
+/// util::write_file_atomic, so a crash never leaves a torn one behind.
+enum class SnapshotMatch {
+  kAbsent,     ///< no snapshot yet
+  kSame,       ///< the snapshot holds exactly these bytes
+  kTorn,       ///< the snapshot's own crc32 is not its name: a torn or
+               ///< damaged write, to be replaced from intact bytes
+  kCollision,  ///< an intact snapshot of a different trace with the same
+               ///< crc32; its journal belongs to that other trace
+};
+SnapshotMatch match_trace_snapshot(const std::string& state_dir,
+                                   const std::string& hash,
+                                   const std::string& text);
+
 /// True for a well-formed trace hash (1-16 lowercase hex chars). Every
 /// hash that arrives over the replication link is validated with this
 /// before it is spliced into a filesystem path - a hostile primary must

@@ -1,6 +1,5 @@
 #include "serve/server.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -45,16 +44,6 @@ double ms_since(Clock::time_point t) {
 }
 
 double sec_since(Clock::time_point t) { return ms_since(t) / 1000.0; }
-
-/// crc32 of the trace text, hex: the per-trace key under --state-dir.
-/// Requests for the same graph share one journal (and its proven caps)
-/// no matter which client sends them.
-std::string trace_hash(const std::string& text) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x",
-                robust::crc32(text.data(), text.size()));
-  return buf;
-}
 
 /// One client connection. Reads decode through a FrameStream (poisoned
 /// stream = hostile/corrupt peer = drop); writes accumulate in `outbuf`
@@ -139,7 +128,8 @@ class Daemon {
   void begin_drain(const char* why);
 
   // --- request plumbing ---
-  void admit(std::uint64_t conn_id, ServeRequest&& sr);
+  void admit(std::uint64_t conn_id, ServeRequest&& sr,
+             const std::string& hash);
   void spawn_executor(Request& req);
   int run_executor(const Request& req, int write_fd);
   void executor_died(Request& req, int wait_status);
@@ -206,6 +196,11 @@ class Daemon {
   long finished_ = 0;
   long degraded_caps_ = 0;
   bool draining_ = false;
+  /// Trace hashes whose snapshot this process has parsed successfully.
+  /// A request whose bytes equal that snapshot skips the admission
+  /// parse; the snapshot on disk, not a copy here, is what it is
+  /// compared against, so memory stays flat.
+  std::set<std::string> parsed_;
 
   // High-availability state.
   bool standby_ = false;
@@ -317,31 +312,12 @@ bool Daemon::stamp_journal(robust::SweepJournal& journal,
 }
 
 void Daemon::startup_resume() {
-  DIR* dir = ::opendir(opt_.state_dir.c_str());
-  if (dir == nullptr) return;
-  std::vector<std::string> hashes;
-  while (struct dirent* de = ::readdir(dir)) {
-    const std::string name = de->d_name;
-    const std::string prefix = "sweep-", suffix = ".journal";
-    if (name.size() > prefix.size() + suffix.size() &&
-        name.compare(0, prefix.size(), prefix) == 0 &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      hashes.push_back(name.substr(
-          prefix.size(), name.size() - prefix.size() - suffix.size()));
-    }
-  }
-  ::closedir(dir);
-  std::sort(hashes.begin(), hashes.end());
-
-  for (const std::string& hash : hashes) {
-    const std::string journal_path =
-        opt_.state_dir + "/sweep-" + hash + ".journal";
-    const std::string trace_path =
-        opt_.state_dir + "/trace-" + hash + ".trace";
-    auto opened = robust::SweepJournal::open(journal_path);
+  for (const std::string& hash : journal_hashes(opt_.state_dir)) {
+    const std::string journal_file = journal_path(opt_.state_dir, hash);
+    const std::string trace_file = trace_path(opt_.state_dir, hash);
+    auto opened = robust::SweepJournal::open(journal_file);
     if (!opened.ok()) {
-      err_ << "powerlimd: resume: cannot open " << journal_path << ": "
+      err_ << "powerlimd: resume: cannot open " << journal_file << ": "
            << opened.status().to_string() << "\n";
       continue;
     }
@@ -366,11 +342,11 @@ void Daemon::startup_resume() {
     }
     if (owed.empty()) continue;
 
-    std::ifstream tf(trace_path);
+    std::ifstream tf(trace_file);
     std::stringstream buf;
     buf << tf.rdbuf();
     if (!tf) {
-      err_ << "powerlimd: resume: missing trace snapshot " << trace_path
+      err_ << "powerlimd: resume: missing trace snapshot " << trace_file
            << "; " << owed.size() << " cap(s) cannot be resumed\n";
       continue;
     }
@@ -383,14 +359,23 @@ void Daemon::startup_resume() {
     req.trace_text = buf.str();
     req.hash = hash;
     req.journal = std::move(journal);
+    // A snapshot that does not hash to its name is torn; even if it
+    // parses, it is not the graph the journal's caps were proven on.
+    if (trace_hash(req.trace_text) != hash) {
+      err_ << "powerlimd: resume: torn trace snapshot " << trace_file
+           << "; " << owed.size()
+           << " cap(s) wait for a client to resubmit the trace\n";
+      continue;
+    }
     try {
       std::istringstream in(req.trace_text);
-      (void)dag::read_trace(in, trace_path);
+      (void)dag::read_trace(in, trace_file);
     } catch (const std::exception& e) {
-      err_ << "powerlimd: resume: corrupt trace snapshot " << trace_path
+      err_ << "powerlimd: resume: corrupt trace snapshot " << trace_file
            << ": " << e.what() << "\n";
       continue;
     }
+    parsed_.insert(hash);
     out_ << "powerlimd: resume: " << owed.size() << " cap(s) owed for trace "
          << hash << "\n";
     // Resume work was promised before this process existed; it bypasses
@@ -695,24 +680,53 @@ void Daemon::handle_request(Conn& conn, const robust::WireFrame& frame) {
     send_overloaded(conn_id, sr.id, "queue-full", detail.str());
     return;
   }
-  try {
-    std::istringstream in(sr.trace_text);
-    (void)dag::read_trace(in, "request:" + sr.id);
-  } catch (const std::exception& e) {
-    send_frame(conn_id, kTagError, encode_error(sr.id, e.what()));
+  // The journal of a hash belongs to the trace in its snapshot: a
+  // different trace with the same crc32 must never read its rows.
+  const std::string hash = trace_hash(sr.trace_text);
+  const SnapshotMatch snapshot =
+      match_trace_snapshot(opt_.state_dir, hash, sr.trace_text);
+  if (snapshot == SnapshotMatch::kCollision) {
+    send_frame(conn_id, kTagError,
+               encode_error(sr.id, "trace hash collision: a different "
+                                   "trace already owns key " +
+                                       hash + " in this state dir"));
     return;
   }
-  admit(conn_id, std::move(sr));
+  // Validate each trace once per process. Bytes equal to a snapshot
+  // this daemon already parsed skip the parse; executors still parse
+  // before every solve.
+  if (snapshot != SnapshotMatch::kSame || parsed_.count(hash) == 0) {
+    try {
+      std::istringstream in(sr.trace_text);
+      (void)dag::read_trace(in, "request:" + sr.id);
+    } catch (const std::exception& e) {
+      send_frame(conn_id, kTagError, encode_error(sr.id, e.what()));
+      return;
+    }
+  }
+  // Snapshot the trace once per hash (a torn one is rewritten): the
+  // journal's resume path needs the graph after a SIGKILL, and the
+  // snapshot is what makes a `Q` intent self-contained.
+  if (snapshot != SnapshotMatch::kSame &&
+      util::write_file_atomic(trace_path(opt_.state_dir, hash),
+                              sr.trace_text) != 0) {
+    send_frame(conn_id, kTagError,
+               encode_error(sr.id, "cannot persist trace snapshot"));
+    return;
+  }
+  parsed_.insert(hash);
+  admit(conn_id, std::move(sr), hash);
 }
 
-void Daemon::admit(std::uint64_t conn_id, ServeRequest&& sr) {
+void Daemon::admit(std::uint64_t conn_id, ServeRequest&& sr,
+                   const std::string& hash) {
   Request req;
   req.conn_id = conn_id;
   req.id = sr.id;
   req.kind = sr.kind;
   req.caps = sr.caps;
   req.trace_text = std::move(sr.trace_text);
-  req.hash = trace_hash(req.trace_text);
+  req.hash = hash;
   double deadline_ms = sr.deadline_ms > 0.0 ? sr.deadline_ms
                                             : opt_.default_deadline_ms;
   if (opt_.max_deadline_ms > 0.0 &&
@@ -726,33 +740,8 @@ void Daemon::admit(std::uint64_t conn_id, ServeRequest&& sr) {
                                           deadline_ms));
   }
 
-  // Snapshot the trace once per hash: the journal's resume path needs
-  // the graph after a SIGKILL, and the snapshot is what makes a `Q`
-  // intent self-contained.
-  const std::string trace_path =
-      opt_.state_dir + "/trace-" + req.hash + ".trace";
-  const int tfd = ::open(trace_path.c_str(),
-                         O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (tfd >= 0) {
-    const bool ok =
-        util::write_full(tfd, req.trace_text.data(), req.trace_text.size()) ==
-            0 &&
-        util::fsync_full(tfd) == 0;
-    ::close(tfd);
-    if (!ok || util::fsync_parent_dir(trace_path) != 0) {
-      send_frame(conn_id, kTagError,
-                 encode_error(req.id, "cannot persist trace snapshot"));
-      return;
-    }
-  } else if (errno != EEXIST) {
-    send_frame(conn_id, kTagError,
-               encode_error(req.id, "cannot persist trace snapshot"));
-    return;
-  }
-
-  const std::string journal_path =
-      opt_.state_dir + "/sweep-" + req.hash + ".journal";
-  auto opened = robust::SweepJournal::open(journal_path);
+  auto opened =
+      robust::SweepJournal::open(journal_path(opt_.state_dir, req.hash));
   if (!opened.ok()) {
     send_frame(conn_id, kTagError,
                encode_error(req.id, "cannot open journal: " +
@@ -1625,6 +1614,21 @@ void Daemon::handle_standby_request(std::uint64_t conn_id,
   req.caps = sr.caps;
   req.trace_text = std::move(sr.trace_text);
   req.hash = trace_hash(req.trace_text);
+  // Serve only the trace the replica journal belongs to: bytes that
+  // differ from the replicated snapshot (a crc32 collision, or a
+  // snapshot not replicated intact yet) are shed like unproven caps.
+  const SnapshotMatch snapshot =
+      match_trace_snapshot(opt_.state_dir, req.hash, req.trace_text);
+  if (snapshot != SnapshotMatch::kSame) {
+    ++shed_total_;
+    send_overloaded(conn_id, req.id, "standby",
+                    snapshot == SnapshotMatch::kCollision
+                        ? "trace hash collision: a different trace owns "
+                          "key " + req.hash + "; retry against the primary"
+                        : "trace " + req.hash +
+                              " not replicated; retry against the primary");
+    return;
+  }
   const std::string path = journal_path(opt_.state_dir, req.hash);
   int proven = 0;
   std::unique_ptr<robust::SweepJournal> journal;

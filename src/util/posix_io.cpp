@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <string>
 
 namespace powerlim::util {
 
@@ -62,6 +63,26 @@ int fsync_parent_dir(const std::string& path) {
   errno = saved;
   if (rc == 0) g_dir_fsyncs.fetch_add(1, std::memory_order_relaxed);
   return rc;
+}
+
+int write_file_atomic(const std::string& path, const std::string& bytes) {
+  // The pid keeps two processes sharing a directory off one temp name.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  const int fd = static_cast<int>(retry_eintr([&] {
+    return ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  }));
+  if (fd < 0) return -1;
+  const bool written = write_full(fd, bytes.data(), bytes.size()) == 0 &&
+                       fsync_full(fd) == 0;
+  int saved = errno;
+  ::close(fd);
+  if (!written || ::rename(tmp.c_str(), path.c_str()) != 0) {
+    if (written) saved = errno;
+    ::unlink(tmp.c_str());
+    errno = saved;
+    return -1;
+  }
+  return fsync_parent_dir(path);
 }
 
 long fsync_parent_dir_count() {

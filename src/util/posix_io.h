@@ -46,6 +46,12 @@ int fsync_full(int fd);
 /// file must be followed by this. Returns 0 or -1 (errno preserved).
 int fsync_parent_dir(const std::string& path);
 
+/// Replaces `path` with `bytes` so a crash leaves either the old file or
+/// the whole new one, never a torn mix: write a sibling temp file,
+/// fsync it, rename it over `path`, fsync the directory. On failure the
+/// temp file is removed. Returns 0 or -1 (errno preserved).
+int write_file_atomic(const std::string& path, const std::string& bytes);
+
 /// Monotonic count of successful fsync_parent_dir() calls in this
 /// process. Test observability: durability tests assert the
 /// create -> dir-fsync sequence happened without strace.

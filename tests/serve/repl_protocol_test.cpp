@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "serve/protocol.h"
 #include "serve/repl.h"
+#include "util/posix_io.h"
 #include "util/rng.h"
 
 namespace powerlim::serve {
@@ -214,6 +216,37 @@ TEST(ReplProtocol, EpochFileRoundTripsAndToleratesCorruption) {
     f << "epoch=not-a-number\n";
   }
   EXPECT_EQ(load_epoch_file(dir), 0u);
+}
+
+TEST(ReplProtocol, TraceSnapshotsClassifyAgainstRequestBytes) {
+  const std::string dir = ::testing::TempDir() + "repl_snapshot_dir";
+  (void)::mkdir(dir.c_str(), 0755);
+  const std::string text = "powerlim-trace 1\n# snapshot classification\n";
+  const std::string hash = trace_hash(text);
+  const std::string path = trace_path(dir, hash);
+  std::remove(path.c_str());
+  EXPECT_EQ(match_trace_snapshot(dir, hash, text), SnapshotMatch::kAbsent);
+
+  // A torn write: bytes whose crc32 is not the file's name.
+  {
+    std::ofstream f(path, std::ios::trunc | std::ios::binary);
+    f << text.substr(0, 10);
+  }
+  EXPECT_EQ(match_trace_snapshot(dir, hash, text), SnapshotMatch::kTorn);
+
+  const long dir_fsyncs = util::fsync_parent_dir_count();
+  ASSERT_EQ(util::write_file_atomic(path, text), 0);
+  EXPECT_GT(util::fsync_parent_dir_count(), dir_fsyncs);
+  EXPECT_EQ(match_trace_snapshot(dir, hash, text), SnapshotMatch::kSame);
+
+  // An intact snapshot of other bytes under the requested name is a
+  // collision. Real crc32 twins are the daemon test's job; here the
+  // request is simply classified against another trace's snapshot.
+  const std::string other = "powerlim-trace 1\n# another trace\n";
+  ASSERT_EQ(
+      util::write_file_atomic(trace_path(dir, trace_hash(other)), other), 0);
+  EXPECT_EQ(match_trace_snapshot(dir, trace_hash(other), text),
+            SnapshotMatch::kCollision);
 }
 
 }  // namespace

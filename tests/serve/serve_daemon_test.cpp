@@ -10,7 +10,13 @@
 //   * hostile bytes on the daemon socket - oversized length prefixes
 //     and random fuzz - drop that connection only (satellite: shared
 //     kMaxFrameBytes ceiling enforced at the daemon socket);
-//   * SIGHUP (journal reopen) does not disturb service.
+//   * SIGHUP (journal reopen) does not disturb service;
+//   * a trace is validated once per daemon: a malformed one is refused
+//     on every submission, a valid repeat gets byte-identical rows;
+//   * a different trace with the same crc32 key is refused by the
+//     primary and shed by a standby, never served the other's rows;
+//   * a torn trace snapshot is rewritten from intact request bytes, and
+//     the repaired snapshot carries a SIGKILL + --resume.
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -19,16 +25,22 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "robust/wire.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
+#include "serve/repl.h"
 #include "tools/cli.h"
 #include "util/socket_io.h"
 
@@ -85,13 +97,17 @@ struct Daemon {
   }
 };
 
-Daemon start_daemon(std::vector<std::string> extra_args) {
+/// Starts a daemon over `state_dir`, or over a fresh per-call directory
+/// when it is empty.
+Daemon start_daemon(std::vector<std::string> extra_args,
+                    const std::string& state_dir = "") {
   static int counter = 0;
   const std::string tag =
       std::to_string(::getpid()) + "_" + std::to_string(counter++);
   const std::string port_file = temp_path("powerlimd_port_" + tag);
   Daemon d;
-  d.state_dir = temp_path("powerlimd_state_" + tag);
+  d.state_dir =
+      state_dir.empty() ? temp_path("powerlimd_state_" + tag) : state_dir;
   std::remove(port_file.c_str());
   std::vector<std::string> args = {"serve",       "--listen",
                                    "127.0.0.1:0", "--port-file",
@@ -117,6 +133,80 @@ Daemon start_daemon(std::vector<std::string> extra_args) {
   }
   std::remove(port_file.c_str());
   return d;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+/// Result records in the journal of `text` under `state_dir`.
+int journaled_rows(const std::string& state_dir, const std::string& text) {
+  std::ifstream f(serve::journal_path(state_dir, serve::trace_hash(text)));
+  int n = 0;
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("R ", 0) == 0) ++n;
+  }
+  return n;
+}
+
+/// Report JSON of every row with the daemon's per-reply `service`
+/// telemetry neutralized: what is left comes from the journal bytes.
+std::vector<std::string> row_reports(const CollectResult& got) {
+  static const std::regex kService("\"service\":\\{[^}]*\\}");
+  std::vector<std::string> out;
+  for (const serve::ServeRow& row : got.rows) {
+    out.push_back(std::to_string(row.entry.job_cap_watts) + " " +
+                  std::regex_replace(row.entry.report_json, kService,
+                                     "\"service\":{}"));
+  }
+  return out;
+}
+
+/// Running bytewise CRC-32 register (no final xor), so a search can
+/// extend one prefix's CRC instead of rehashing the whole text.
+std::uint32_t crc_extend(std::uint32_t crc, const std::string& bytes) {
+  for (unsigned char c : bytes) {
+    crc ^= c;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc;
+}
+
+/// Two different traces with the same crc32 key: `a` and `b` each grow
+/// one "# <n>" comment line (the trace parser skips comments), and a
+/// birthday search pairs 2^17 variants of `a` with variants of `b`.
+std::pair<std::string, std::string> crc_collision(const std::string& a,
+                                                  const std::string& b) {
+  // <n> is written as ten scrambled nibbles, '@'..'O'. The CRC is affine
+  // in the input bits, so the bits that vary must span all 32 of its
+  // outputs; a decimal counter varies ~24 bits and usually finds no pair.
+  const auto line = [](std::uint64_t n) {
+    std::uint64_t z = (n + 1) * 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 29)) * 0xBF58476D1CE4E5B9ull;
+    z ^= z >> 32;
+    std::string s = "# ";
+    for (int i = 0; i < 10; ++i) {
+      s += static_cast<char>('@' + ((z >> (4 * i)) & 0xFu));
+    }
+    return s + "\n";
+  };
+  const std::uint32_t crc_a = crc_extend(0xFFFFFFFFu, a);
+  const std::uint32_t crc_b = crc_extend(0xFFFFFFFFu, b);
+  std::unordered_map<std::uint32_t, std::uint32_t> seen;
+  for (std::uint32_t n = 0; n < (1u << 17); ++n) {
+    seen.emplace(crc_extend(crc_a, line(n)), n);
+  }
+  for (std::uint32_t n = 0; n < (1u << 22); ++n) {
+    const auto hit = seen.find(crc_extend(crc_b, line(n)));
+    if (hit != seen.end()) return {a + line(hit->second), b + line(n)};
+  }
+  return {};
 }
 
 /// Shared fixture: a light CoMD trace (2 ranks - requests finish in
@@ -380,6 +470,190 @@ TEST_F(PowerlimdLifecycle, VersionSkewedClientIsRejectedAtHello) {
       << frame.payload;
 
   EXPECT_EQ(d.stop(), 0);
+}
+
+TEST_F(PowerlimdLifecycle, MalformedTraceIsRefusedOnEverySubmission) {
+  Daemon d = start_daemon({});
+  ASSERT_GT(d.endpoint.port, 0);
+
+  // "task x ..." : a non-numeric rank on the first task line.
+  std::string bad = *trace_text_;
+  const std::size_t task = bad.find("\ntask ");
+  ASSERT_NE(task, std::string::npos);
+  bad.replace(task + 6, 1, "x");
+
+  // A malformed trace never joins the parsed set, so the second
+  // submission is parsed (and refused) exactly like the first.
+  ServeClient client;
+  ASSERT_TRUE(client.connect(d.endpoint).ok());
+  std::vector<std::string> errors;
+  for (const char* id : {"bad-1", "bad-2"}) {
+    ServeRequest req = request(id, 1);
+    req.trace_text = bad;
+    ASSERT_TRUE(client.submit(req).ok());
+    const CollectResult got = client.collect(id, 60.0);
+    ASSERT_EQ(got.status, CollectStatus::kRequestError)
+        << serve::to_string(got.status);
+    EXPECT_NE(got.error_detail.find("request:" + std::string(id)),
+              std::string::npos)
+        << got.error_detail;
+    errors.push_back(got.error_detail.substr(got.error_detail.find(" at ")));
+  }
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_NE(errors[0].find("'x'"), std::string::npos) << errors[0];
+
+  // Refused traces leave no state behind: no snapshot, no journal.
+  EXPECT_FALSE(std::filesystem::exists(
+      serve::trace_path(d.state_dir, serve::trace_hash(bad))));
+  EXPECT_EQ(d.stop(), 0);
+}
+
+TEST_F(PowerlimdLifecycle, RepeatedTraceOnTwoConnectionsGetsIdenticalRows) {
+  Daemon d = start_daemon({});
+  ASSERT_GT(d.endpoint.port, 0);
+
+  // The first submission parses, snapshots and solves; the second, on
+  // another connection, skips the parse and reads the journal.
+  ServeClient first, second;
+  ASSERT_TRUE(first.connect(d.endpoint).ok());
+  ASSERT_TRUE(second.connect(d.endpoint).ok());
+  ASSERT_TRUE(first.submit(request("twice-1", 3)).ok());
+  const CollectResult a = first.collect("twice-1", 60.0);
+  ASSERT_EQ(a.status, CollectStatus::kDone) << a.error_detail;
+  ASSERT_TRUE(second.submit(request("twice-2", 3)).ok());
+  const CollectResult b = second.collect("twice-2", 60.0);
+  ASSERT_EQ(b.status, CollectStatus::kDone) << b.error_detail;
+
+  EXPECT_EQ(a.done.resumed, 0);
+  EXPECT_EQ(b.done.resumed, 3);
+  ASSERT_EQ(a.rows.size(), 3u);
+  EXPECT_EQ(row_reports(a), row_reports(b));
+  EXPECT_EQ(read_file(serve::trace_path(d.state_dir,
+                                        serve::trace_hash(*trace_text_))),
+            *trace_text_);
+  EXPECT_EQ(d.stop(), 0);
+}
+
+TEST_F(PowerlimdLifecycle, CrcCollisionIsRefusedByPrimaryAndShedByStandby) {
+  const auto [owner, intruder] = crc_collision(
+      *trace_text_, load_trace("powerlimd_trace_other", 2, 2));
+  ASSERT_FALSE(owner.empty());
+  ASSERT_NE(owner, intruder);
+  ASSERT_EQ(serve::trace_hash(owner), serve::trace_hash(intruder));
+
+  Daemon primary = start_daemon({"--repl-heartbeat-ms", "25"});
+  ASSERT_GT(primary.endpoint.port, 0);
+  Daemon standby = start_daemon(
+      {"--standby-of", "127.0.0.1:" + std::to_string(primary.endpoint.port),
+       "--repl-heartbeat-ms", "25"});
+  ASSERT_GT(standby.endpoint.port, 0);
+
+  ServeClient client;
+  ASSERT_TRUE(client.connect(primary.endpoint).ok());
+  auto submit = [&](ServeClient& c, const std::string& id,
+                    const std::string& text) {
+    ServeRequest req = request(id, 2);
+    req.trace_text = text;
+    EXPECT_TRUE(c.submit(req).ok());
+    return c.collect(id, 60.0);
+  };
+
+  const CollectResult proven = submit(client, "owner-1", owner);
+  ASSERT_EQ(proven.status, CollectStatus::kDone) << proven.error_detail;
+  ASSERT_EQ(proven.rows.size(), 2u);
+
+  const CollectResult refused = submit(client, "intruder", intruder);
+  ASSERT_EQ(refused.status, CollectStatus::kRequestError)
+      << serve::to_string(refused.status);
+  EXPECT_NE(refused.error_detail.find("trace hash collision"),
+            std::string::npos)
+      << refused.error_detail;
+
+  // The owner's snapshot and rows are untouched by the intruder.
+  const std::string hash = serve::trace_hash(owner);
+  EXPECT_EQ(read_file(serve::trace_path(primary.state_dir, hash)), owner);
+  const CollectResult again = submit(client, "owner-2", owner);
+  ASSERT_EQ(again.status, CollectStatus::kDone) << again.error_detail;
+  EXPECT_EQ(again.done.resumed, 2);
+  EXPECT_EQ(row_reports(again), row_reports(proven));
+
+  // Once the standby holds the owner's snapshot and both rows, it
+  // serves the owner read-only and sheds the intruder.
+  for (int i = 0; i < 2000; ++i) {
+    if (journaled_rows(standby.state_dir, owner) == 2 &&
+        read_file(serve::trace_path(standby.state_dir, hash)) == owner)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(journaled_rows(standby.state_dir, owner), 2);
+  ServeClient replica;
+  ASSERT_TRUE(replica.connect(standby.endpoint).ok());
+  const CollectResult shed = submit(replica, "intruder-s", intruder);
+  ASSERT_EQ(shed.status, CollectStatus::kOverloaded)
+      << serve::to_string(shed.status);
+  EXPECT_EQ(shed.overloaded.reason, "standby");
+  EXPECT_NE(shed.overloaded.detail.find("trace hash collision"),
+            std::string::npos)
+      << shed.overloaded.detail;
+  const CollectResult read = submit(replica, "owner-s", owner);
+  ASSERT_EQ(read.status, CollectStatus::kDone) << read.error_detail;
+  EXPECT_EQ(row_reports(read), row_reports(proven));
+
+  EXPECT_EQ(standby.stop(), 0);
+  EXPECT_EQ(primary.stop(), 0);
+}
+
+TEST_F(PowerlimdLifecycle, TornSnapshotIsRepairedAndCarriesAResume) {
+  const std::string state = temp_path("powerlimd_torn_state");
+  std::filesystem::remove_all(state);
+  std::filesystem::create_directories(state);
+  const std::string& text = *heavy_text_;
+  const std::string snapshot =
+      serve::trace_path(state, serve::trace_hash(text));
+  {
+    // What a crash between create and fsync used to leave behind.
+    std::ofstream torn(snapshot, std::ios::binary);
+    torn << text.substr(0, text.size() / 2);
+  }
+
+  Daemon first = start_daemon({"--max-active", "1"}, state);
+  ASSERT_GT(first.endpoint.port, 0);
+  ServeClient client;
+  ASSERT_TRUE(client.connect(first.endpoint).ok());
+  ASSERT_TRUE(client.submit(heavy_request("torn-1", 1)).ok());
+  const CollectResult served = client.collect("torn-1", 60.0);
+  ASSERT_EQ(served.status, CollectStatus::kDone) << served.error_detail;
+  EXPECT_EQ(served.done.status, "ok");
+  // Fatal: a resume from an unrepaired snapshot owes caps it can never
+  // run, and the --max-requests leg below would wait for it forever.
+  ASSERT_EQ(read_file(snapshot), text) << "torn snapshot was not repaired";
+
+  // SIGKILL mid-request: the owed caps come back only through the
+  // repaired snapshot.
+  constexpr int kCaps = 16;
+  ASSERT_TRUE(client.submit(heavy_request("torn-2", kCaps)).ok());
+  for (int i = 0; i < 30'000 && journaled_rows(state, text) < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  kill(first.pid, SIGKILL);
+  int status = 0;
+  waitpid(first.pid, &status, 0);
+  first.pid = -1;
+  client.close();
+  ASSERT_LT(journaled_rows(state, text), kCaps)
+      << "request finished before the kill; the resume leg would be vacuous";
+
+  Daemon second = start_daemon({"--resume", "--max-requests", "1"}, state);
+  ASSERT_GT(second.endpoint.port, 0);
+  pid_t waited = 0;
+  for (int i = 0; i < 60'000 && waited == 0; ++i) {
+    waited = waitpid(second.pid, &status, WNOHANG);
+    if (waited == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(waited, second.pid) << "resumed daemon never finished its caps";
+  second.pid = -1;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(journaled_rows(state, text), kCaps);
 }
 
 }  // namespace
