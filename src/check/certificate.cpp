@@ -117,13 +117,12 @@ struct CertificateChecker::Impl {
   const machine::ClusterSpec* cluster;
   CertificateOptions options;
   std::vector<dag::Window> windows;
-  /// Independent per-window formulations: frontiers and event orders
-  /// re-derived from the machine model with no hooks in the path.
-  std::vector<std::unique_ptr<LpFormulation>> forms;
 
   /// Checks window `w` of `result`: frontier membership, share weights,
   /// precedence, event cap and order, and that window's weak duality.
-  /// Reads only `result` and this window's own structures.
+  /// Builds its own hook-free formulation of the window (frontiers and
+  /// event order re-derived from the machine model) and reads only that
+  /// and `result`, so windows may be checked on any thread.
   WindowFindings check_window(std::size_t w,
                               const core::WindowedLpResult& result,
                               const Dyadic& tol, const Dyadic& cap,
@@ -136,7 +135,7 @@ WindowFindings CertificateChecker::Impl::check_window(
   const Dyadic zero;
   WindowFindings f;
   const dag::Window& win = windows[w];
-  const LpFormulation& form = *forms[w];
+  const LpFormulation form(win.graph, *model, *cluster);
 
   // Blended per-edge duration and power (by window edge id), recomputed
   // exactly from the independent frontiers (never from
@@ -401,11 +400,6 @@ CertificateChecker::CertificateChecker(const dag::TaskGraph& graph,
   impl_->cluster = &cluster;
   impl_->options = options;
   impl_->windows = dag::split_at_barriers(graph);
-  impl_->forms.reserve(impl_->windows.size());
-  for (const dag::Window& win : impl_->windows) {
-    impl_->forms.push_back(
-        std::make_unique<LpFormulation>(win.graph, model, cluster));
-  }
 }
 
 CertificateChecker::~CertificateChecker() = default;

@@ -80,10 +80,12 @@ struct CertificateVerdict {
   std::string detail;
 };
 
-/// Re-derives the per-window verification structures (frontiers, event
-/// orders, LP rows) once per (graph, machine) pair; verify() may then be
-/// called for every accepted cap of a sweep. The rebuild deliberately
-/// bypasses all fault-injection hooks.
+/// Splits the trace into windows once per (graph, machine) pair; verify()
+/// may then be called for every accepted cap of a sweep. Each window's
+/// verification structures (frontiers, event order, LP rows) are
+/// re-derived per check and dropped after it, so a checker kept for a
+/// whole sweep holds no formulation. The rebuild deliberately bypasses
+/// all fault-injection hooks.
 class CertificateChecker {
  public:
   CertificateChecker(const dag::TaskGraph& graph,

@@ -66,12 +66,14 @@ struct WindowedLpResult {
 /// the result is identical: the lowest failing window decides the status,
 /// and counters are summed in window order up to it.
 enum class WindowThreads {
-  /// In window order on the calling thread. Cap sweeps use this: their
-  /// caps are already the parallel axis (workers, serve-workers, daemon
-  /// executors), and windows in flight at once multiply peak memory.
+  /// In window order on the calling thread. Sweeps whose caps are already
+  /// spread over processes (fork workers, serve-workers, daemon
+  /// executors) use this, as do the ladder's dense accuracy rungs, whose
+  /// m x m inverses would otherwise be in flight once per thread.
   kSerial,
   /// One thread per CPU in the process's affinity mask, capped at the
-  /// window count (util::ordered_parallel_for). A single bound uses this.
+  /// window count (util::ordered_parallel_for). A single bound and an
+  /// in-process sweep use this.
   kPerCpu,
 };
 
@@ -101,16 +103,20 @@ WindowedLpResult solve_windowed_energy_lp(const dag::TaskGraph& graph,
                                           double slowdown_allowance,
                                           double power_cap = lp::kInfinity);
 
-/// Multi-cap sweeps: splits the trace and builds each window's
-/// formulation (frontiers, initial schedule, event sets - all
-/// cap-independent) exactly once, then solves any number of caps against
-/// the prebuilt structures. Use this for Figure 9-style grids,
-/// `powerlim sweep`, and job profiling; the free functions above are
-/// one-shot sweepers.
+/// Multi-cap sweeps: splits the trace once and keeps only what every
+/// cap shares - the window split, per-window warm-start slots and the
+/// cap-independent scalars (minimum feasible power, unconstrained
+/// makespan). Each solve builds a window's formulation on the thread that
+/// solves it and frees it when that window is stitched, so peak memory
+/// holds only the windows in flight; the constructor's own formulations
+/// are handed to the first solve, so a one-cap solve builds each window
+/// once. Use this for Figure 9-style grids, `powerlim sweep`, and job
+/// profiling; the free functions above are one-shot sweepers.
 class WindowSweeper {
  public:
   /// `hooks` (optional, not owned; must outlive the sweeper) is the
-  /// fault-injection seam forwarded to each window's formulation.
+  /// fault-injection seam forwarded to each window's formulation, on
+  /// whichever thread builds it.
   WindowSweeper(const dag::TaskGraph& graph,
                 const machine::PowerModel& model,
                 const machine::ClusterSpec& cluster,

@@ -22,10 +22,11 @@ namespace powerlim::robust {
 
 namespace {
 
-/// A sweep's caps are its parallel axis (in-process, fork workers, daemon
-/// executors), so every cap solves its windows serially: spreading them
-/// too would put several windows' working sets in flight per cap and
-/// raise the sweep's peak memory for no gain (DESIGN.md, "Parallelism").
+/// A sweep that spreads its caps over processes (fork workers, remote
+/// serve-workers) solves each cap's windows serially: those processes are
+/// already the parallel axis, and windows in flight in each of them would
+/// multiply the sweep's peak memory for no gain (DESIGN.md,
+/// "Parallelism"). An in-process sweep keeps options.window_threads.
 SolveDriverOptions serial_windows(SolveDriverOptions options) {
   options.window_threads = core::WindowThreads::kSerial;
   return options;
@@ -68,7 +69,7 @@ std::vector<SolveOutcome> sweep_caps(const dag::TaskGraph& graph,
                                      const machine::ClusterSpec& cluster,
                                      const std::vector<double>& job_caps,
                                      const SolveDriverOptions& options) {
-  const SolveDriver driver(graph, model, cluster, serial_windows(options));
+  const SolveDriver driver(graph, model, cluster, options);
   return driver.sweep(job_caps);
 }
 
@@ -495,7 +496,7 @@ Result<ResilientSweepResult> resilient_sweep(
     out.recovery = journal->recovery();
   }
 
-  SolveDriverOptions driver_opt = serial_windows(options.driver);
+  SolveDriverOptions driver_opt = options.driver;
   driver_opt.deadline =
       util::Deadline::sooner(driver_opt.deadline, options.deadline);
   const SolveDriver driver(graph, model, cluster, driver_opt);

@@ -33,7 +33,8 @@ namespace powerlim::robust {
 
 /// Full resilient sweep: one driver solve per cap, partial results
 /// guaranteed (a failing cap degrades, it does not abort the sweep).
-/// Returns the outcomes in cap order.
+/// Caps solve one after another, each spreading its windows as
+/// options.window_threads says. Returns the outcomes in cap order.
 std::vector<SolveOutcome> sweep_caps(const dag::TaskGraph& graph,
                                      const machine::PowerModel& model,
                                      const machine::ClusterSpec& cluster,
@@ -125,7 +126,10 @@ struct ResilientSweepResult {
 /// next one starts; on resume=true, journaled caps are skipped and their
 /// recovered rows merged in request order with the fresh ones. Returns a
 /// Status only for journal-open failures (unwritable path); solve
-/// failures degrade per-cap as usual and never fail the sweep.
+/// failures degrade per-cap as usual and never fail the sweep. With
+/// workers <= 1 and no remotes the caps solve in this process, each
+/// spreading its windows as options.driver.window_threads says; fork
+/// workers and serve-workers solve each cap's windows serially.
 [[nodiscard]] Result<ResilientSweepResult> resilient_sweep(
     const dag::TaskGraph& graph, const machine::PowerModel& model,
     const machine::ClusterSpec& cluster, const std::vector<double>& job_caps,

@@ -23,6 +23,8 @@ namespace {
 constexpr const char* kRungs[] = {"warm", "cold", "refactor-20", "bland",
                                   "perturb"};
 constexpr int kNumRungs = 5;
+/// Rungs from here on run the dense backend (see rung_options).
+constexpr int kFirstDenseRung = 2;
 
 bool retryable(StatusCode code) {
   switch (code) {
@@ -240,6 +242,11 @@ struct SolveDriver::Impl {
   const machine::ClusterSpec* cluster = nullptr;
   SolveDriverOptions options;
   core::FormulationHooks hooks;
+  /// Whether the fault plan active on the thread that called solve()
+  /// drops every frontier point. Window formulations may be built on
+  /// other threads, which do not see the caller's thread-local
+  /// ScopedFaultPlan, so the frontier hook reads this copy instead.
+  mutable bool drop_frontiers = false;
   /// Built lazily so that a faulty build (empty frontier under an active
   /// FaultPlan) is reported per-solve and retried once the fault clears.
   mutable std::unique_ptr<core::WindowSweeper> sweeper;
@@ -362,13 +369,14 @@ SolveDriver::SolveDriver(const dag::TaskGraph& graph,
   impl_->model = &model;
   impl_->cluster = &cluster;
   impl_->options = std::move(options);
-  // Frontier fault seam: consulted during (lazy) sweeper construction.
-  // Frontiers are cap-independent, so only_job_cap does not scope this
-  // fault; drop_all_pareto_points empties every task's frontier.
-  impl_->hooks.frontier = [](int /*edge_id*/,
-                             std::vector<machine::Config>& frontier) {
-    const FaultPlan* plan = ScopedFaultPlan::active();
-    if (plan && plan->drop_all_pareto_points) frontier.clear();
+  // Frontier fault seam: consulted whenever a window's formulation is
+  // built (sweeper construction and every solve). Frontiers are
+  // cap-independent, so only_job_cap does not scope this fault;
+  // drop_all_pareto_points empties every task's frontier.
+  const Impl* im = impl_.get();
+  impl_->hooks.frontier = [im](int /*edge_id*/,
+                               std::vector<machine::Config>& frontier) {
+    if (im->drop_frontiers) frontier.clear();
   };
 }
 
@@ -398,6 +406,8 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
     rep.detail = "power cap must be a positive finite wattage";
     return out;
   }
+  const FaultPlan* plan = ScopedFaultPlan::active();
+  im.drop_frontiers = plan && plan->drop_all_pareto_points;
   if (!im.ensure_sweeper(rep)) return out;
 
   rep.min_feasible_power_watts = im.sweeper->min_feasible_power();
@@ -410,7 +420,6 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
     return out;
   }
 
-  const FaultPlan* plan = ScopedFaultPlan::active();
   const bool faulted = plan && plan->applies_to_cap(job_cap_watts);
   rep.fault_active = faulted;
   rep.fault_seed = faulted ? plan->seed : 0;
@@ -445,6 +454,11 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
     } else {
       if (r > 0) im.sweeper->clear_warm_starts();
       core::LpScheduleOptions o = im.rung_options(r, job_cap_watts, deadline);
+      // The dense accuracy rungs hold an m x m inverse per window in
+      // flight, so they solve and check their windows one at a time.
+      const core::WindowThreads threads = r >= kFirstDenseRung
+                                              ? core::WindowThreads::kSerial
+                                              : im.options.window_threads;
       if (faulted && plan->coefficient_noise_magnitude > 0.0) {
         const double mag = plan->coefficient_noise_magnitude;
         const std::uint64_t seed = plan->seed;
@@ -454,7 +468,7 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
       }
       try {
         core::WindowedLpResult res =
-            im.sweeper->solve(o, im.options.window_threads);
+            im.sweeper->solve(o, threads);
         if (faulted && plan->corrupt_solution_epsilon > 0.0 &&
             res.optimal()) {
           // "Too good to be true": shrink the claimed bound after the
@@ -499,7 +513,7 @@ SolveOutcome SolveDriver::solve(double job_cap_watts) const {
           }
           if (accepted && im.options.verify_certificate) {
             const check::CertificateVerdict v = im.ensure_checker().verify(
-                res, job_cap_watts, o.power_cap, im.options.window_threads);
+                res, job_cap_watts, o.power_cap, threads);
             rep.certificate.checked = true;
             rep.certificate.ok = v.checked && v.ok;
             rep.certificate.duality_checked = v.duality_checked;

@@ -279,10 +279,13 @@ struct SolveDriverOptions {
   /// Base LP options; power_cap is overwritten per solve and the ladder
   /// adjusts simplex knobs per rung.
   core::LpScheduleOptions lp;
-  /// How each rung's windowed solve and certificate check spread the
-  /// trace's barrier windows. A single bound goes wide; cap sweeps
-  /// (robust/pipeline.cpp, robust/remote_worker.cpp) pick kSerial because
-  /// their caps are already the parallel axis. Results are identical.
+  /// How the warm and cold rungs' windowed solves and certificate checks
+  /// spread the trace's barrier windows; the dense accuracy rungs always
+  /// go serial. A single bound and an in-process sweep go wide. Sweeps
+  /// whose caps already run in separate processes (fork workers,
+  /// serve-workers, daemon executors) pick kSerial, since those processes
+  /// are the parallel axis (robust/pipeline.cpp, robust/remote_worker.cpp,
+  /// serve/server.cpp). Results are identical.
   core::WindowThreads window_threads = core::WindowThreads::kPerCpu;
   /// Replay-validate optimal schedules against the cap before accepting.
   bool validate_replay = true;

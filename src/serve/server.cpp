@@ -889,6 +889,9 @@ int Daemon::run_executor(const Request& req, int write_fd) {
 
     robust::ResilientSweepOptions ropt;
     ropt.driver.cap_deadline_ms = opt_.cap_deadline_ms;
+    // Up to max_active executors run at once, so each keeps its windows
+    // serial even when it sweeps in-process (workers <= 1).
+    ropt.driver.window_threads = core::WindowThreads::kSerial;
     // A cancel token keeps executor reports byte-identical to offline
     // `sweep` runs (which always attach one); SIGTERM trips it so a
     // draining daemon can interrupt executors cleanly before the

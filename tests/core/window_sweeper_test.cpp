@@ -249,6 +249,59 @@ TEST(ParallelWindows, MiddleWindowInfeasibleStopsLikeSerial) {
   }
 }
 
+TEST(ParallelWindows, MiddleWindowFailureKeepsTheWholeTraceMinimumPower) {
+  // Formulations are built per solve and dropped at stitch; the sweeper's
+  // minimum feasible power must still cover every window, including the
+  // ones a failed solve never reached.
+  const dag::TaskGraph g = apps::make_random_app(
+      {.ranks = 4, .iterations = 8, .seed = 7, .p2p_probability = 0.0});
+  const std::vector<double> need = window_min_power(g);
+  // k: the first window that needs more than every window before it; the
+  // cap sits between, so k is the lowest failing window.
+  std::size_t k = 1;
+  double before = need[0];
+  for (; k < need.size() && need[k] <= before; ++k) {
+    before = std::max(before, need[k]);
+  }
+  ASSERT_LT(k + 1, need.size()) << "no middle window needs more power";
+  const double cap = 0.5 * (before + need[k]);
+  const double worst = *std::max_element(need.begin(), need.end());
+  // The neediest window lies past k, so only a window the failed solve
+  // never reached can supply the reported minimum.
+  ASSERT_GT(worst, need[k]);
+
+  for (const WindowThreads threads :
+       {WindowThreads::kSerial, WindowThreads::kPerCpu}) {
+    const WindowSweeper sweeper(g, kModel, kCluster);
+    EXPECT_EQ(bits(sweeper.min_feasible_power()), bits(worst));
+    // The first solve takes the constructor's formulations, the second
+    // builds its own; both stop at window k.
+    for (int pass = 0; pass < 2; ++pass) {
+      const WindowedLpResult res = sweeper.solve({.power_cap = cap}, threads);
+      EXPECT_EQ(res.status, lp::SolveStatus::kInfeasible) << pass;
+      EXPECT_EQ(res.failed_window, static_cast<int>(k)) << pass;
+      EXPECT_EQ(bits(res.min_feasible_power), bits(worst)) << pass;
+    }
+  }
+}
+
+TEST(ParallelWindows, OnDemandFormulationsMatchTheConstructorOnes) {
+  // A sweeper's first solve reuses the formulations its constructor built;
+  // later solves build fresh ones. Same cap, cold both times: the results
+  // must be bit-identical, frontiers included.
+  const dag::TaskGraph g = apps::make_lulesh({.ranks = 4, .iterations = 5});
+  for (const WindowThreads threads :
+       {WindowThreads::kSerial, WindowThreads::kPerCpu}) {
+    const WindowSweeper sweeper(g, kModel, kCluster);
+    const LpScheduleOptions o{.power_cap = 4 * 50.0};
+    const WindowedLpResult first = sweeper.solve(o, threads);
+    ASSERT_TRUE(first.optimal());
+    sweeper.clear_warm_starts();
+    const WindowedLpResult again = sweeper.solve(o, threads);
+    expect_identical(first, again);
+  }
+}
+
 TEST(ParallelWindows, ExpiredDeadlineFailsTheFirstWindow) {
   const dag::TaskGraph g = apps::make_comd({.ranks = 4, .iterations = 6});
   const WindowSweeper sweeper(g, kModel, kCluster);

@@ -133,6 +133,24 @@ TEST(FaultInjection, DriverRecoversOnceFrontierFaultClears) {
   EXPECT_TRUE(driver.solve(2 * 60.0).ok());
 }
 
+TEST(FaultInjection, FrontierFaultReachesFormulationsBuiltPerSolve) {
+  // After its first solve a driver builds each window's formulation on
+  // the thread that solves it; a frontier fault installed on the calling
+  // thread must still reach those builds.
+  const dag::TaskGraph g = small_graph();
+  const SolveDriver driver(g, kModel, kCluster);
+  ASSERT_TRUE(driver.solve(2 * 60.0).ok());
+  FaultPlan plan;
+  plan.drop_all_pareto_points = true;
+  {
+    const ScopedFaultPlan scope(plan);
+    const SolveOutcome res = driver.solve(2 * 60.0);
+    EXPECT_EQ(res.report.verdict, StatusCode::kEmptyFrontier);
+    EXPECT_NE(res.report.detail.find("frontier"), std::string::npos);
+  }
+  EXPECT_TRUE(driver.solve(2 * 60.0).ok());
+}
+
 // --- forced solver statuses: walk the ladder rung by rung ---
 
 TEST(FaultInjection, NumericalErrorRecoversAtLaterRung) {

@@ -111,6 +111,10 @@ std::string strip_telemetry(const std::string& json) {
   s = std::regex_replace(s, kEta, "\"eta_nonzeros\":0");
   s = std::regex_replace(s, kFill, "\"lu_fill_ratio\":0");
   s = std::regex_replace(s, kPrimal, "\"primal_infeasibility\":0");
+  // The certificate's duality gap is an epsilon-scale artifact of the
+  // solve path: a cap solved warm on one daemon and cold on another lands
+  // on equally valid optimal vertices whose gaps differ in the last bits.
+  s = std::regex_replace(s, kGap, "\"duality_gap\":0");
   return std::regex_replace(s, kViolation, "\"violation_watts\":0");
 }
 

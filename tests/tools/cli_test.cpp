@@ -22,8 +22,13 @@ CliResult run_cli(std::vector<std::string> args) {
   return {code, out.str(), err.str()};
 }
 
+/// One trace path per test: ctest runs these tests as concurrent
+/// processes sharing one TempDir, and a shared path let one test's trace
+/// overwrite another's between its `bound` and its `replay`.
 std::string temp_trace() {
-  return ::testing::TempDir() + "/cli_trace.txt";
+  return ::testing::TempDir() + "/cli_trace_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".txt";
 }
 
 TEST(Cli, NoArgsPrintsUsage) {

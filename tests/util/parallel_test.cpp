@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace powerlim::util {
@@ -83,6 +88,91 @@ TEST(OrderedParallelFor, SerialInterleavesSolveAndStitch) {
   EXPECT_EQ(events,
             (std::vector<std::string>{"solve 0", "stitch 0", "solve 1",
                                       "stitch 1", "solve 2", "stitch 2"}));
+}
+
+TEST(OrderedParallelFor, StitchesTheFirstItemBeforeTheLastSolveReturns) {
+  // The last item's solve waits for stitch(0): a loop that stitched only
+  // after every solve returned would time the wait out. With one CPU the
+  // serial path stitches item 0 long before item n-1 is solved.
+  constexpr std::size_t n = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool first_stitched = false;
+  bool seen_in_time = false;
+  std::vector<std::size_t> stitched;
+  ordered_parallel_for(
+      n, true,
+      [&](std::size_t i) {
+        if (i == n - 1) {
+          std::unique_lock<std::mutex> lock(mu);
+          seen_in_time = cv.wait_for(lock, std::chrono::seconds(30),
+                                     [&] { return first_stitched; });
+        }
+        return true;
+      },
+      [&](std::size_t i) {
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          if (i == 0) first_stitched = true;
+          stitched.push_back(i);
+        }
+        cv.notify_all();
+      });
+  EXPECT_TRUE(seen_in_time);
+  EXPECT_EQ(stitched, iota(n));
+}
+
+TEST(OrderedParallelFor, EagerStitchKeepsOrderWhenTheFirstItemIsSlowest) {
+  // Item 0 finishes last, so every later item is ready before the stitch
+  // can start; they must still be stitched in index order.
+  for (const bool parallel : {false, true}) {
+    const bool spread = parallel && affinity_cpus() > 1;
+    std::atomic<std::size_t> solved{0};
+    std::vector<std::size_t> stitched;
+    ordered_parallel_for(
+        6, parallel,
+        [&](std::size_t i) {
+          if (i == 0) {
+            const auto give_up =
+                std::chrono::steady_clock::now() + std::chrono::seconds(5);
+            while (spread && solved < 5 &&
+                   std::chrono::steady_clock::now() < give_up) {
+              std::this_thread::yield();
+            }
+          }
+          ++solved;
+          return true;
+        },
+        [&](std::size_t i) { stitched.push_back(i); });
+    EXPECT_EQ(stitched, iota(6));
+  }
+}
+
+TEST(OrderedParallelFor, AThrowingStitchStopsTheLoopAndJoinsItsThreads) {
+  for (const bool parallel : {false, true}) {
+    std::atomic<int> running{0};
+    std::vector<std::size_t> stitched;
+    try {
+      ordered_parallel_for(
+          200, parallel,
+          [&](std::size_t) {
+            ++running;
+            std::this_thread::yield();
+            --running;
+            return true;
+          },
+          [&](std::size_t i) {
+            if (i == 5) throw std::runtime_error("stitch 5");
+            stitched.push_back(i);
+          });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "stitch 5");
+    }
+    // Every worker was joined before the exception left the loop.
+    EXPECT_EQ(running.load(), 0);
+    EXPECT_EQ(stitched, iota(5));
+  }
 }
 
 TEST(OrderedParallelFor, AffinityCpusIsPositive) {
