@@ -115,143 +115,6 @@ long current_peak_rss_kb() {
   return static_cast<long>(ru.ru_maxrss);
 }
 
-/// Adapter from the worker pool's result record to the shared
-/// degraded-entry synthesis below.
-JournalEntry degraded_entry_for_dead_worker(
-    const dag::TaskGraph& graph, const machine::PowerModel& model,
-    const machine::ClusterSpec& cluster, const SolveDriverOptions& driver_opt,
-    double cap, const WorkerTaskResult& r) {
-  WorkerFailure failure;
-  failure.outcome = status_code_for(r.outcome);
-  failure.detail = r.detail;
-  failure.spawns = r.spawns;
-  failure.wall_ms = r.wall_ms;
-  failure.peak_rss_kb = r.peak_rss_kb;
-  return degraded_entry_for_failure(graph, model, cluster, driver_opt, cap,
-                                    failure);
-}
-
-/// The workers > 1 path: resume-filter as usual, then dispatch every
-/// pending cap through the fork-per-task pool. Results stream into the
-/// journal in completion order (each cap durable the moment it lands);
-/// rows are still assembled in request order. Basis checkpoints are
-/// skipped - workers share no warm-start cache.
-Result<ResilientSweepResult> parallel_resilient_sweep(
-    const dag::TaskGraph& graph, const machine::PowerModel& model,
-    const machine::ClusterSpec& cluster, const std::vector<double>& job_caps,
-    const ResilientSweepOptions& options) {
-  ResilientSweepResult out;
-
-  std::optional<SweepJournal> journal;
-  if (!options.journal_path.empty()) {
-    Result<SweepJournal> opened = SweepJournal::open(options.journal_path);
-    if (!opened.ok()) return opened.status();
-    journal.emplace(std::move(opened).value());
-    out.recovery = journal->recovery();
-  }
-
-  std::vector<std::optional<SweepRow>> slots(job_caps.size());
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < job_caps.size(); ++i) {
-    if (journal && options.resume) {
-      const JournalEntry* e = journal->find(job_caps[i]);
-      // An untrusted record (kOk without a passed certificate) falls
-      // through to a fresh solve. The journal keeps the old record (a
-      // re-append would be dropped as a duplicate), so an untrusted cap
-      // is re-solved on every resume - deliberately: trust is a property
-      // of the record, not of how often it has been replayed.
-      if (e != nullptr &&
-          journal_entry_trusted(*e, options.driver.verify_certificate)) {
-        slots[i] = row_from_entry(*e);
-        ++out.resumed;
-        continue;
-      }
-    }
-    pending.push_back(i);
-  }
-
-  std::vector<WorkerTaskSpec> tasks;
-  tasks.reserve(pending.size());
-  for (std::size_t i : pending) {
-    const double cap = job_caps[i];
-    WorkerTaskSpec spec;
-    spec.job_cap_watts = cap;
-    spec.run = [&graph, &model, &cluster, &options, cap](int attempt) {
-      maybe_execute_worker_fault(cap, attempt);
-      const SolveDriver driver(graph, model, cluster,
-                               serial_windows(options.driver));
-      SolveOutcome o = driver.solve(cap);
-      o.report.worker.isolated = true;
-      o.report.worker.spawns = attempt + 1;
-      o.report.worker.retries = attempt;
-      o.report.worker.peak_rss_kb = current_peak_rss_kb();
-      return entry_from_row(row_from_report(o.report));
-    };
-    tasks.push_back(std::move(spec));
-  }
-
-  WorkerPoolOptions pool_opt;
-  pool_opt.workers = options.workers;
-  pool_opt.limits.mem_mb = options.worker_mem_mb;
-  pool_opt.limits.cpu_seconds = options.worker_cpu_s;
-  if (options.driver.cap_deadline_ms > 0.0) {
-    // Per-spawn wall budget: the cap deadline plus grace for the
-    // fallback simulation and result serialization. Catches workers
-    // wedged where the pivot-granularity deadline cannot reach.
-    pool_opt.limits.wall_seconds =
-        options.driver.cap_deadline_ms / 1000.0 + 2.0;
-  }
-
-  Status journal_error;  // first append failure, surfaced after the pool
-  bool dropped_cancelled = false;
-  const auto on_result = [&](const WorkerTaskResult& r, std::size_t task_idx) {
-    const std::size_t cap_idx = pending[task_idx];
-    JournalEntry entry;
-    if (r.outcome == WorkerOutcome::kOk) {
-      // A worker that reports kCancelled (it inherits the parent's
-      // SIGINT handling across fork) did not really settle its cap:
-      // drop the result so a resumed run re-solves it for real.
-      if (r.entry.verdict == StatusCode::kCancelled) {
-        dropped_cancelled = true;
-        return;
-      }
-      entry = r.entry;
-    } else if (r.outcome == WorkerOutcome::kSkipped) {
-      return;
-    } else {
-      entry = degraded_entry_for_dead_worker(graph, model, cluster,
-                                             options.driver,
-                                             job_caps[cap_idx], r);
-    }
-    if (journal && journal_error.ok()) {
-      const Status st = journal->append(entry);
-      if (!st.ok()) journal_error = st;
-    }
-    SweepRow row = row_from_entry(entry);
-    row.from_journal = false;
-    if (options.on_row) options.on_row(row);
-    slots[cap_idx] = std::move(row);
-    ++out.solved;
-  };
-
-  const WorkerPoolResult pool =
-      run_worker_pool(tasks, pool_opt, options.deadline, on_result);
-  out.worker_stats = pool.stats;
-  if (!journal_error.ok()) return journal_error;
-  if (pool.interrupted) {
-    out.interrupted = true;
-    out.stop = pool.stop;
-  } else if (dropped_cancelled) {
-    out.interrupted = true;
-    out.stop = util::StopReason::kCancelled;
-  }
-
-  for (auto& slot : slots) {
-    if (slot) out.rows.push_back(std::move(*slot));
-  }
-  return out;
-}
-
 /// The Byzantine gate: a remote kOk result is only as trustworthy as the
 /// solution artifact it shipped. Re-verify the artifact locally with the
 /// exact certificate checker against *our* trace and machine model - a
@@ -325,39 +188,48 @@ RemoteResultGate make_certificate_gate(const dag::TaskGraph& graph,
   };
 }
 
-/// The --remote path: parallel_resilient_sweep's journaling/resume
-/// skeleton dispatched through the distributed pool. The coordinator
-/// splices real transport telemetry into every settled report; remote
-/// kOk results pass the certificate gate before journaling.
-Result<ResilientSweepResult> distributed_resilient_sweep(
+/// The workers > 1 / --remote path: resume-filter as usual, then
+/// dispatch every pending cap through the worker pool. Results stream
+/// into the journal in completion order (each cap durable the moment it
+/// lands); rows are still assembled in request order. Basis checkpoints
+/// are skipped - workers share no warm-start cache. Only a sweep with
+/// remotes pays for the remote set-up (endpoints, a handshake holding
+/// the whole serialized trace, the certificate gate) and splices
+/// transport telemetry into its reports.
+Result<ResilientSweepResult> pooled_resilient_sweep(
     const dag::TaskGraph& graph, const machine::PowerModel& model,
     const machine::ClusterSpec& cluster, const std::vector<double>& job_caps,
     const ResilientSweepOptions& options) {
+  const bool distributed = !options.remotes.empty();
   RemoteWorkerOptions remote;
-  for (const std::string& text : options.remotes) {
-    util::Endpoint ep;
-    if (!util::parse_endpoint(text, &ep) || ep.port == 0) {
-      return Status(StatusCode::kBadInput,
-                    "bad remote endpoint '" + text +
-                        "' (want host:port with a nonzero port)");
+  RemoteResultGate gate;
+  if (distributed) {
+    for (const std::string& text : options.remotes) {
+      util::Endpoint ep;
+      if (!util::parse_endpoint(text, &ep) || ep.port == 0) {
+        return Status(StatusCode::kBadInput,
+                      "bad remote endpoint '" + text +
+                          "' (want host:port with a nonzero port)");
+      }
+      remote.remotes.push_back(ep);
     }
-    remote.remotes.push_back(ep);
-  }
-  RemoteSolveConfig wire_config;
-  wire_config.cap_deadline_ms = options.driver.cap_deadline_ms;
-  wire_config.validate_replay = options.driver.validate_replay;
-  wire_config.verify_certificate = options.driver.verify_certificate;
-  wire_config.discrete = options.driver.lp.discrete;
-  remote.handshake = encode_handshake(wire_config, graph);
-  if (options.remote_heartbeat_ms > 0.0) {
-    remote.heartbeat_timeout_ms = options.remote_heartbeat_ms;
-  }
-  if (options.remote_timeout_ms > 0.0) {
-    remote.job_timeout_ms = options.remote_timeout_ms;
-  } else if (options.driver.cap_deadline_ms > 0.0) {
-    // The remote end enforces the cap deadline itself; this ceiling only
-    // catches a peer that silently keeps heartbeating past it.
-    remote.job_timeout_ms = options.driver.cap_deadline_ms + 5000.0;
+    RemoteSolveConfig wire_config;
+    wire_config.cap_deadline_ms = options.driver.cap_deadline_ms;
+    wire_config.validate_replay = options.driver.validate_replay;
+    wire_config.verify_certificate = options.driver.verify_certificate;
+    wire_config.discrete = options.driver.lp.discrete;
+    remote.handshake = encode_handshake(wire_config, graph);
+    if (options.remote_heartbeat_ms > 0.0) {
+      remote.heartbeat_timeout_ms = options.remote_heartbeat_ms;
+    }
+    if (options.remote_timeout_ms > 0.0) {
+      remote.job_timeout_ms = options.remote_timeout_ms;
+    } else if (options.driver.cap_deadline_ms > 0.0) {
+      // The remote end enforces the cap deadline itself; this ceiling
+      // only catches a peer that silently keeps heartbeating past it.
+      remote.job_timeout_ms = options.driver.cap_deadline_ms + 5000.0;
+    }
+    gate = make_certificate_gate(graph, model, cluster, options);
   }
 
   ResilientSweepResult out;
@@ -375,6 +247,11 @@ Result<ResilientSweepResult> distributed_resilient_sweep(
   for (std::size_t i = 0; i < job_caps.size(); ++i) {
     if (journal && options.resume) {
       const JournalEntry* e = journal->find(job_caps[i]);
+      // An untrusted record (kOk without a passed certificate) falls
+      // through to a fresh solve. The journal keeps the old record (a
+      // re-append would be dropped as a duplicate), so an untrusted cap
+      // is re-solved on every resume - deliberately: trust is a property
+      // of the record, not of how often it has been replayed.
       if (e != nullptr &&
           journal_entry_trusted(*e, options.driver.verify_certificate)) {
         slots[i] = row_from_entry(*e);
@@ -410,20 +287,23 @@ Result<ResilientSweepResult> distributed_resilient_sweep(
   pool_opt.limits.mem_mb = options.worker_mem_mb;
   pool_opt.limits.cpu_seconds = options.worker_cpu_s;
   if (options.driver.cap_deadline_ms > 0.0) {
+    // Per-spawn wall budget: the cap deadline plus grace for the
+    // fallback simulation and result serialization. Catches workers
+    // wedged where the pivot-granularity deadline cannot reach.
     pool_opt.limits.wall_seconds =
         options.driver.cap_deadline_ms / 1000.0 + 2.0;
   }
 
-  const RemoteResultGate gate =
-      make_certificate_gate(graph, model, cluster, options);
-
-  Status journal_error;
+  Status journal_error;  // first append failure, surfaced after the pool
   bool dropped_cancelled = false;
   const auto on_result = [&](const WorkerTaskResult& r, std::size_t task_idx,
-                             const TransportResult& transport) {
+                             const TransportTelemetry& transport) {
     const std::size_t cap_idx = pending[task_idx];
     JournalEntry entry;
     if (r.outcome == WorkerOutcome::kOk) {
+      // A worker that reports kCancelled (it inherits the parent's
+      // SIGINT handling across fork) did not really settle its cap:
+      // drop the result so a resumed run re-solves it for real.
       if (r.entry.verdict == StatusCode::kCancelled) {
         dropped_cancelled = true;
         return;
@@ -432,17 +312,19 @@ Result<ResilientSweepResult> distributed_resilient_sweep(
     } else if (r.outcome == WorkerOutcome::kSkipped) {
       return;
     } else {
-      entry = degraded_entry_for_dead_worker(graph, model, cluster,
-                                             options.driver,
-                                             job_caps[cap_idx], r);
+      WorkerFailure failure;
+      failure.outcome = status_code_for(r.outcome);
+      failure.detail = r.detail;
+      failure.spawns = r.spawns;
+      failure.wall_ms = r.wall_ms;
+      failure.peak_rss_kb = r.peak_rss_kb;
+      entry = degraded_entry_for_failure(graph, model, cluster,
+                                         options.driver, job_caps[cap_idx],
+                                         failure);
     }
-    TransportTelemetry tt;
-    tt.remote = transport.remote;
-    tt.endpoint = transport.endpoint;
-    tt.retries = transport.retries;
-    tt.backoff_ms = transport.backoff_ms;
-    tt.heartbeat_misses = transport.heartbeat_misses;
-    entry.report_json = patch_transport_json(entry.report_json, tt);
+    if (distributed) {
+      entry.report_json = patch_transport_json(entry.report_json, transport);
+    }
     if (journal && journal_error.ok()) {
       const Status st = journal->append(entry);
       if (!st.ok()) journal_error = st;
@@ -454,8 +336,8 @@ Result<ResilientSweepResult> distributed_resilient_sweep(
     ++out.solved;
   };
 
-  const WorkerPoolResult pool = run_distributed_pool(
-      tasks, pool_opt, remote, gate, options.deadline, on_result);
+  const WorkerPoolResult pool = run_worker_pool(
+      tasks, pool_opt, options.deadline, on_result, remote, gate);
   out.worker_stats = pool.stats;
   if (!journal_error.ok()) return journal_error;
   if (pool.interrupted) {
@@ -478,12 +360,8 @@ Result<ResilientSweepResult> resilient_sweep(
     const dag::TaskGraph& graph, const machine::PowerModel& model,
     const machine::ClusterSpec& cluster, const std::vector<double>& job_caps,
     const ResilientSweepOptions& options) {
-  if (!options.remotes.empty()) {
-    return distributed_resilient_sweep(graph, model, cluster, job_caps,
-                                       options);
-  }
-  if (options.workers > 1) {
-    return parallel_resilient_sweep(graph, model, cluster, job_caps, options);
+  if (options.workers > 1 || !options.remotes.empty()) {
+    return pooled_resilient_sweep(graph, model, cluster, job_caps, options);
   }
 
   ResilientSweepResult out;

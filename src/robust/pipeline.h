@@ -64,9 +64,9 @@ struct ResilientSweepOptions {
   bool resume = false;
   /// Whole-sweep wall budget + cancellation. Checked between caps; the
   /// per-cap solves additionally observe it at pivot granularity (it is
-  /// merged into each cap's supervision deadline). With workers > 1 the
-  /// supervisor enforces it instead: expiry/cancel SIGKILLs in-flight
-  /// workers and their caps resume next run.
+  /// merged into each cap's supervision deadline). In a pooled sweep
+  /// (workers > 1 or remotes) the pool enforces it instead: expiry/cancel
+  /// SIGKILLs in-flight workers and their caps resume next run.
   util::Deadline deadline;
   /// Process-isolated parallel solving. > 1 forks each cap's ladder into
   /// a supervised worker (at most `workers` in flight) with crash
@@ -81,11 +81,11 @@ struct ResilientSweepOptions {
   long worker_mem_mb = 0;
   /// Per-worker RLIMIT_CPU budget, seconds (0 = unlimited).
   double worker_cpu_s = 0.0;
-  /// Remote serve-worker endpoints ("host:port"). Non-empty routes the
-  /// sweep through the distributed pool (robust/remote_worker.h): remote
-  /// sessions and up to `workers` local fork workers share one queue,
-  /// every lost cap walks the reassignment ladder, and each remote kOk
-  /// result must pass the local certificate gate before it is journaled.
+  /// Remote serve-worker endpoints ("host:port"). Non-empty adds remote
+  /// sessions to the worker pool (robust/worker_pool.h): they and up to
+  /// `workers` local fork workers share one queue, every lost cap walks
+  /// the reassignment ladder, and each remote kOk result must pass the
+  /// local certificate gate before it is journaled.
   std::vector<std::string> remotes;
   /// Per-remote-attempt wall ceiling, ms (0 derives it from the cap
   /// deadline, or leaves it unlimited when there is none).

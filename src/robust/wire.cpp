@@ -83,32 +83,6 @@ Status write_wire_frame(int fd, char tag, const std::string& payload) {
   return Status::Ok();
 }
 
-WireDecode decode_wire_frame(const std::string& bytes, WireFrame* out) {
-  if (bytes.empty()) return WireDecode::kEmpty;
-  const std::size_t header_end = bytes.find('\n');
-  if (header_end == std::string::npos) return WireDecode::kCorrupt;
-  ParsedHeader h;
-  if (!parse_header(bytes.substr(0, header_end), &h)) {
-    return WireDecode::kCorrupt;
-  }
-  // A hostile length prefix is rejected here, before any payload-sized
-  // work happens (the substr below is bounded by the actual bytes, but
-  // the stream decoder would otherwise buffer until the claimed length
-  // arrived).
-  if (h.len > kMaxWirePayload) return WireDecode::kCorrupt;
-  const std::size_t payload_start = header_end + 1;
-  if (h.len > bytes.size() - payload_start) return WireDecode::kCorrupt;
-  const std::string payload =
-      bytes.substr(payload_start, static_cast<std::size_t>(h.len));
-  if (crc32(payload.data(), payload.size()) != h.crc) {
-    return WireDecode::kCorrupt;
-  }
-  out->tag = h.tag;
-  out->payload = payload;
-  return payload_start + h.len == bytes.size() ? WireDecode::kOk
-                                               : WireDecode::kTrailing;
-}
-
 WireDecode decode_wire_frames(const std::string& bytes,
                               std::vector<WireFrame>* out) {
   out->clear();

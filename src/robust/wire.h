@@ -1,7 +1,8 @@
 // CRC-framed, length-prefixed pipe protocol between the sweep
 // supervisor and its forked workers.
 //
-// A worker ships exactly one result frame up its pipe before _exit():
+// A worker ships its result frame (a serve-worker's child adds a
+// solution frame) up its pipe before _exit():
 //
 //   W <tag> <crc32-hex> <payload-bytes>\n<payload>
 //
@@ -77,14 +78,11 @@ enum class WireDecode {
 
 const char* to_string(WireDecode d);
 
-/// Decodes the single frame a worker's pipe delivered (the parent reads
-/// to EOF first; workers write exactly one frame). Never throws.
-WireDecode decode_wire_frame(const std::string& bytes, WireFrame* out);
-
-/// Decodes a *sequence* of frames (the remote worker ships 'R' then an
-/// optional 'S' artifact on one pipe). kOk requires at least one frame
-/// and every byte consumed; kTrailing means an intact prefix of frames
-/// followed by a torn partial one.
+/// Decodes the frames a worker's pipe delivered (the parent reads to EOF
+/// first; a worker ships 'R' then an optional 'S' artifact). kOk
+/// requires at least one frame and every byte consumed; kTrailing means
+/// an intact prefix of frames followed by a torn partial one. Never
+/// throws.
 WireDecode decode_wire_frames(const std::string& bytes,
                               std::vector<WireFrame>* out);
 

@@ -29,6 +29,7 @@
 #include "robust/pipeline.h"
 #include "robust/solve_driver.h"
 #include "robust/wire.h"
+#include "robust/worker_pool.h"
 #include "serve/protocol.h"
 #include "serve/repl.h"
 #include "util/posix_io.h"
@@ -838,37 +839,30 @@ void Daemon::schedule() {
 }
 
 void Daemon::spawn_executor(Request& req) {
-  int pfd[2];
-  if (::pipe(pfd) != 0) {
-    degrade_unsettled(req, "pipe() failed: " + std::string(strerror(errno)));
+  // Executor child: drop every daemon fd except the result pipe.
+  std::vector<int> daemon_fds;
+  if (listen_fd_ >= 0) daemon_fds.push_back(listen_fd_);
+  for (const auto& [id, conn] : conns_) {
+    if (conn.fd >= 0) daemon_fds.push_back(conn.fd);
+  }
+  for (const Request& other : active_) {
+    if (other.pipe_fd >= 0) daemon_fds.push_back(other.pipe_fd);
+  }
+  robust::SpawnedWorker child;
+  if (!robust::spawn_worker(
+          daemon_fds,
+          [&](int write_fd) { return run_executor(req, write_fd); },
+          &child)) {
+    degrade_unsettled(req, "cannot spawn an executor: " +
+                               std::string(strerror(errno)));
     return;
   }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(pfd[0]);
-    ::close(pfd[1]);
-    degrade_unsettled(req, "fork() failed: " + std::string(strerror(errno)));
-    return;
-  }
-  if (pid == 0) {
-    // Executor child: drop every daemon fd except the result pipe.
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    for (auto& [id, conn] : conns_) {
-      if (conn.fd >= 0) ::close(conn.fd);
-    }
-    for (Request& other : active_) {
-      if (other.pipe_fd >= 0) ::close(other.pipe_fd);
-    }
-    ::close(pfd[0]);
-    ::_exit(run_executor(req, pfd[1]));
-  }
-  ::close(pfd[1]);
   // Nonblocking read end: a dead executor whose worker children still
   // hold the inherited write end must never block the daemon's drain.
-  const int flags = ::fcntl(pfd[0], F_GETFL, 0);
-  if (flags >= 0) ::fcntl(pfd[0], F_SETFL, flags | O_NONBLOCK);
-  req.pid = pid;
-  req.pipe_fd = pfd[0];
+  const int flags = ::fcntl(child.read_fd, F_GETFL, 0);
+  if (flags >= 0) ::fcntl(child.read_fd, F_SETFL, flags | O_NONBLOCK);
+  req.pid = child.pid;
+  req.pipe_fd = child.read_fd;
   req.pipe_stream = robust::FrameStream();
   req.pipe_poisoned = false;
   ++req.spawns;

@@ -1,8 +1,8 @@
 // Remote serve-worker + distributed pool contract, below the CLI:
 // protocol round-trips, a real serve-worker process driven over a raw
 // socket (handshake, job, heartbeats, result + solution artifact,
-// version rejection, graceful SIGTERM drain), and run_distributed_pool
-// semantics (remote settling, dead-endpoint drain to local, Byzantine
+// version rejection, graceful SIGTERM drain), and run_worker_pool with
+// remote endpoints (remote settling, dead-endpoint drain to local, Byzantine
 // gate rejection walking the reassignment ladder).
 #include "robust/remote_worker.h"
 
@@ -277,7 +277,7 @@ TEST(ServeWorker, SigtermDrainsGracefullyMidConnection) {
   EXPECT_EQ(wait_exit(child.pid), 0);
 }
 
-// --- run_distributed_pool semantics ---
+// --- run_worker_pool with remotes ---
 
 struct PoolFixture {
   dag::TaskGraph graph = small_graph();
@@ -325,13 +325,14 @@ TEST(DistributedPool, AllCapsSettleRemotelyWithLocalWorkersDisabled) {
   WorkerPoolOptions local;
   local.workers = 0;  // remote-only: locals exist only as ladder fallback
 
-  std::vector<TransportResult> transports;
-  const WorkerPoolResult res = run_distributed_pool(
-      fix.tasks, local, fix.remote, RemoteResultGate{}, util::Deadline{},
-      [&](const WorkerTaskResult& r, std::size_t, const TransportResult& t) {
+  std::vector<TransportTelemetry> transports;
+  const WorkerPoolResult res = run_worker_pool(
+      fix.tasks, local, util::Deadline{},
+      [&](const WorkerTaskResult& r, std::size_t, const TransportTelemetry& t) {
         EXPECT_EQ(r.outcome, WorkerOutcome::kOk);
         transports.push_back(t);
-      });
+      },
+      fix.remote);
   kill(child.pid, SIGTERM);
   wait_exit(child.pid);
 
@@ -343,7 +344,7 @@ TEST(DistributedPool, AllCapsSettleRemotelyWithLocalWorkersDisabled) {
   EXPECT_EQ(res.stats.remote_clean, 3);
   EXPECT_EQ(res.stats.remote_failures, 0);
   ASSERT_EQ(transports.size(), 3u);
-  for (const TransportResult& t : transports) {
+  for (const TransportTelemetry& t : transports) {
     EXPECT_TRUE(t.remote);
     EXPECT_EQ(t.endpoint, util::to_string(child.ep));
     EXPECT_EQ(t.retries, 0);
@@ -366,8 +367,7 @@ TEST(DistributedPool, DeadEndpointDrainsToLocalWorkers) {
   local.workers = 2;
 
   const WorkerPoolResult res =
-      run_distributed_pool(fix.tasks, local, fix.remote, RemoteResultGate{},
-                           util::Deadline{}, {});
+      run_worker_pool(fix.tasks, local, util::Deadline{}, {}, fix.remote);
   ASSERT_EQ(res.results.size(), 2u);
   for (const WorkerTaskResult& r : res.results) {
     EXPECT_EQ(r.outcome, WorkerOutcome::kOk) << r.detail;
@@ -393,12 +393,13 @@ TEST(DistributedPool, GateRejectionWalksReassignmentLadder) {
       [](const JournalEntry&, const std::string&) {
         return Status(StatusCode::kCertificateFailed, "test gate says no");
       };
-  std::vector<TransportResult> transports;
-  const WorkerPoolResult res = run_distributed_pool(
-      fix.tasks, local, fix.remote, reject_all, util::Deadline{},
-      [&](const WorkerTaskResult&, std::size_t, const TransportResult& t) {
+  std::vector<TransportTelemetry> transports;
+  const WorkerPoolResult res = run_worker_pool(
+      fix.tasks, local, util::Deadline{},
+      [&](const WorkerTaskResult&, std::size_t, const TransportTelemetry& t) {
         transports.push_back(t);
-      });
+      },
+      fix.remote, reject_all);
   kill(child.pid, SIGTERM);
   wait_exit(child.pid);
 

@@ -99,13 +99,13 @@ TEST(WireHardening, CorruptPrefixFuzz) {
     char flip = static_cast<char>(rng.uniform(1.0, 255.0));
     if (flip == bad[i]) flip ^= 0x1;
     bad[i] = flip;
-    WireFrame f;
-    const WireDecode d = decode_wire_frame(bad, &f);
+    std::vector<WireFrame> frames;
+    const WireDecode d = decode_wire_frames(bad, &frames);
     if (d == WireDecode::kOk || d == WireDecode::kTrailing) {
       // The only survivable mutation is the tag byte itself (CRC covers
       // the payload, not the tag) - and then the payload must be intact.
       EXPECT_EQ(i, 2u) << "byte " << i << " flip silently accepted";
-      EXPECT_EQ(f.payload, payload);
+      EXPECT_EQ(frames[0].payload, payload);
     }
   }
 }
@@ -115,8 +115,8 @@ TEST(WireHardening, TruncationAtEveryBoundaryIsNeverOk) {
   // kCorrupt in the one-shot decoder - never a successful decode.
   const std::string good = frame_bytes('R', "payload bytes here");
   for (std::size_t n = 0; n < good.size(); ++n) {
-    WireFrame f;
-    const WireDecode d = decode_wire_frame(good.substr(0, n), &f);
+    std::vector<WireFrame> frames;
+    const WireDecode d = decode_wire_frames(good.substr(0, n), &frames);
     EXPECT_NE(d, WireDecode::kOk) << "prefix " << n;
     EXPECT_NE(d, WireDecode::kTrailing) << "prefix " << n;
   }
@@ -218,8 +218,8 @@ TEST(WireHardening, ReplFrameTagMutationFuzzMatrix) {
       char flip = static_cast<char>(rng.uniform(1.0, 255.0));
       if (flip == bad[i]) flip ^= 0x1;
       bad[i] = flip;
-      WireFrame f;
-      const WireDecode d = decode_wire_frame(bad, &f);
+      std::vector<WireFrame> frames;
+      const WireDecode d = decode_wire_frames(bad, &frames);
       if (d == WireDecode::kOk || d == WireDecode::kTrailing) {
         // Two mutations may survive: the tag byte itself (the CRC
         // covers the payload, not the tag - the repl dispatcher's
@@ -234,8 +234,8 @@ TEST(WireHardening, ReplFrameTagMutationFuzzMatrix) {
         EXPECT_TRUE(tag_flip || whitespace_flip)
             << "tag '" << c.tag << "' byte " << i
             << " flip silently accepted";
-        if (!tag_flip) EXPECT_EQ(f.tag, c.tag);
-        EXPECT_EQ(f.payload, c.payload);
+        if (!tag_flip) EXPECT_EQ(frames[0].tag, c.tag);
+        EXPECT_EQ(frames[0].payload, c.payload);
       }
     }
     // Streamed truncation: every strict prefix of the frame is still
@@ -257,10 +257,11 @@ TEST(WireHardening, CrcZeroLengthAndBinaryPayloads) {
   for (const std::string& payload :
        {std::string(), std::string(64, '\0'),
         std::string("W R deadbeef 5\nfake embedded frame")}) {
-    WireFrame f;
-    ASSERT_EQ(decode_wire_frame(frame_bytes('R', payload), &f),
+    std::vector<WireFrame> frames;
+    ASSERT_EQ(decode_wire_frames(frame_bytes('R', payload), &frames),
               WireDecode::kOk);
-    EXPECT_EQ(f.payload, payload);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames[0].payload, payload);
   }
 }
 

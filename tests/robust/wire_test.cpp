@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "robust/journal.h"
 
@@ -29,24 +30,25 @@ std::string frame_bytes(char tag, const std::string& payload) {
 TEST(Wire, RoundTripsThroughPipe) {
   const std::string payload = "line one\nline two with \x01 binary\n";
   const std::string bytes = frame_bytes('R', payload);
-  WireFrame frame;
-  EXPECT_EQ(decode_wire_frame(bytes, &frame), WireDecode::kOk);
-  EXPECT_EQ(frame.tag, 'R');
-  EXPECT_EQ(frame.payload, payload);
+  std::vector<WireFrame> frames;
+  EXPECT_EQ(decode_wire_frames(bytes, &frames), WireDecode::kOk);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].tag, 'R');
+  EXPECT_EQ(frames[0].payload, payload);
 }
 
 TEST(Wire, EmptyBufferIsEmptyNotCorrupt) {
   // A worker that died before writing anything is a crash, but the
   // *frame* verdict distinguishes "nothing" from "garbage".
-  WireFrame frame;
-  EXPECT_EQ(decode_wire_frame("", &frame), WireDecode::kEmpty);
+  std::vector<WireFrame> frames;
+  EXPECT_EQ(decode_wire_frames("", &frames), WireDecode::kEmpty);
 }
 
 TEST(Wire, TruncatedPayloadIsCorrupt) {
   const std::string bytes = frame_bytes('R', "a fairly long payload body");
-  WireFrame frame;
+  std::vector<WireFrame> frames;
   for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
-    EXPECT_EQ(decode_wire_frame(bytes.substr(0, cut), &frame),
+    EXPECT_EQ(decode_wire_frames(bytes.substr(0, cut), &frames),
               WireDecode::kCorrupt)
         << "cut at " << cut;
   }
@@ -55,21 +57,21 @@ TEST(Wire, TruncatedPayloadIsCorrupt) {
 TEST(Wire, BitFlipIsCorrupt) {
   std::string bytes = frame_bytes('R', "payload under checksum");
   bytes[bytes.size() - 3] ^= 0x20;
-  WireFrame frame;
-  EXPECT_EQ(decode_wire_frame(bytes, &frame), WireDecode::kCorrupt);
+  std::vector<WireFrame> frames;
+  EXPECT_EQ(decode_wire_frames(bytes, &frames), WireDecode::kCorrupt);
 }
 
 TEST(Wire, TrailingBytesAreFlagged) {
   const std::string bytes = frame_bytes('R', "payload") + "stray";
-  WireFrame frame;
-  EXPECT_EQ(decode_wire_frame(bytes, &frame), WireDecode::kTrailing);
+  std::vector<WireFrame> frames;
+  EXPECT_EQ(decode_wire_frames(bytes, &frames), WireDecode::kTrailing);
 }
 
 TEST(Wire, ArbitraryGarbageIsCorrupt) {
-  WireFrame frame;
-  EXPECT_EQ(decode_wire_frame("not a frame at all\n", &frame),
+  std::vector<WireFrame> frames;
+  EXPECT_EQ(decode_wire_frames("not a frame at all\n", &frames),
             WireDecode::kCorrupt);
-  EXPECT_EQ(decode_wire_frame("W R deadbeef notanumber\nxx", &frame),
+  EXPECT_EQ(decode_wire_frames("W R deadbeef notanumber\nxx", &frames),
             WireDecode::kCorrupt);
 }
 
@@ -83,10 +85,11 @@ TEST(Wire, CarriesJournalEntryPayload) {
   e.bound_seconds = 9.875;
   e.report_json = "{\"schema_version\":3}";
   const std::string bytes = frame_bytes('R', serialize_journal_entry(e));
-  WireFrame frame;
-  ASSERT_EQ(decode_wire_frame(bytes, &frame), WireDecode::kOk);
+  std::vector<WireFrame> frames;
+  ASSERT_EQ(decode_wire_frames(bytes, &frames), WireDecode::kOk);
+  ASSERT_EQ(frames.size(), 1u);
   JournalEntry back;
-  ASSERT_TRUE(parse_journal_entry(frame.payload, &back));
+  ASSERT_TRUE(parse_journal_entry(frames[0].payload, &back));
   EXPECT_EQ(back.job_cap_watts, e.job_cap_watts);
   EXPECT_EQ(back.verdict, e.verdict);
   EXPECT_EQ(back.bound_seconds, e.bound_seconds);

@@ -5,8 +5,11 @@
 // worker, and settle - without the test process ever dying.
 #include "robust/worker_pool.h"
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -17,21 +20,21 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "robust/status.h"
 #include "util/deadline.h"
+#include "util/posix_io.h"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define POWERLIM_TEST_ASAN 1
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define POWERLIM_TEST_SANITIZER 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define POWERLIM_TEST_ASAN 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define POWERLIM_TEST_SANITIZER 1
 #endif
 #endif
-#ifndef POWERLIM_TEST_ASAN
-#define POWERLIM_TEST_ASAN 0
+#ifndef POWERLIM_TEST_SANITIZER
+#define POWERLIM_TEST_SANITIZER 0
 #endif
 
 namespace powerlim::robust {
@@ -75,7 +78,7 @@ TEST(WorkerPool, CleanTasksSettleInTaskOrder) {
   opt.workers = 3;
   const WorkerPoolResult res = run_worker_pool(
       tasks, opt, {},
-      [&](const WorkerTaskResult& r, std::size_t) {
+      [&](const WorkerTaskResult& r, std::size_t, const TransportTelemetry&) {
         streamed.push_back(r.entry.job_cap_watts);
       });
 
@@ -162,8 +165,8 @@ TEST(WorkerPool, ThrownExceptionBecomesCrashExitCode) {
 }
 
 TEST(WorkerPool, RealMemoryBudgetTriggersResourceExhaustion) {
-  if (POWERLIM_TEST_ASAN) {
-    GTEST_SKIP() << "RLIMIT_AS is compiled out under AddressSanitizer";
+  if (POWERLIM_TEST_SANITIZER) {
+    GTEST_SKIP() << "RLIMIT_AS is compiled out under Address/ThreadSanitizer";
   }
   // The worker genuinely allocates past a real RLIMIT_AS budget; the
   // bad_alloc -> kWorkerExitOom path must classify, not crash the pool.
@@ -234,7 +237,9 @@ TEST(WorkerPool, CancelMidRunKillsInFlightWorkers) {
   const auto start = std::chrono::steady_clock::now();
   const WorkerPoolResult res = run_worker_pool(
       {slow, quick}, opt, util::Deadline::cancel_only(&token),
-      [&](const WorkerTaskResult&, std::size_t) { token.cancel(); });
+      [&](const WorkerTaskResult&, std::size_t, const TransportTelemetry&) {
+        token.cancel();
+      });
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -267,7 +272,12 @@ TEST(WorkerPool, ExternalSigkillMidSolveIsRetriedAndSweepContinues) {
     return make_entry(60.0);
   };
 
-  std::thread killer([&] {
+  // The killer is a process, not a thread: no thread of the test may be
+  // alive across the pool's fork() (ThreadSanitizer reports it as
+  // leaked in every worker).
+  const pid_t killer = ::fork();
+  ASSERT_GE(killer, 0);
+  if (killer == 0) {
     const auto start = std::chrono::steady_clock::now();
     while (std::chrono::steady_clock::now() - start <
            std::chrono::seconds(25)) {
@@ -275,16 +285,21 @@ TEST(WorkerPool, ExternalSigkillMidSolveIsRetriedAndSweepContinues) {
       pid_t pid = 0;
       if (f >> pid && pid > 0) {
         ::kill(pid, SIGKILL);
-        return;
+        _exit(0);
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      struct timespec ts = {0, 5 * 1000 * 1000};
+      ::nanosleep(&ts, nullptr);
     }
-  });
+    _exit(1);
+  }
 
   const WorkerPoolResult res =
       run_worker_pool({victim, clean_task(100.0)}, {});
-  killer.join();
+  int killer_status = 0;
+  ::waitpid(killer, &killer_status, 0);
   std::remove(pidfile.c_str());
+  EXPECT_TRUE(WIFEXITED(killer_status) && WEXITSTATUS(killer_status) == 0)
+      << "the killer never saw the victim's pid";
 
   ASSERT_EQ(res.results.size(), 2u);
   EXPECT_EQ(res.results[0].outcome, WorkerOutcome::kOk);
@@ -293,6 +308,39 @@ TEST(WorkerPool, ExternalSigkillMidSolveIsRetriedAndSweepContinues) {
   EXPECT_EQ(res.stats.crashes, 1);  // the SIGKILLed first spawn
   EXPECT_EQ(res.stats.retries, 1);
   EXPECT_FALSE(res.interrupted);
+}
+
+TEST(SpawnWorker, ChildClosesItsCloseListSoThePeerSeesEof) {
+  // The reason spawn_worker takes a close list: a child still holding a
+  // session socket would keep the peer from seeing EOF when the parent
+  // closes its end. The child here stays alive throughout, so only its
+  // own close can deliver the EOF.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  SpawnedWorker child;
+  ASSERT_TRUE(spawn_worker(
+      {sv[0]},
+      [](int) {
+        sleep_bounded(30.0);
+        return 0;
+      },
+      &child));
+  ::close(sv[0]);
+
+  struct pollfd pfd = {sv[1], POLLIN, 0};
+  const int ready = ::poll(&pfd, 1, 5000);
+  char byte = 0;
+  const ssize_t n = ready > 0 ? util::read_some(sv[1], &byte, 1) : -1;
+  const bool child_alive = ::waitpid(child.pid, nullptr, WNOHANG) == 0;
+
+  ::kill(child.pid, SIGKILL);
+  ::waitpid(child.pid, nullptr, 0);
+  ::close(child.read_fd);
+  ::close(sv[1]);
+
+  EXPECT_EQ(ready, 1) << "peer saw no EOF while the child ran";
+  EXPECT_EQ(n, 0);
+  EXPECT_TRUE(child_alive);
 }
 
 TEST(WorkerPool, OutcomeNamesAreStable) {

@@ -461,9 +461,11 @@ TEST_F(PowerlimdLifecycle, VersionSkewedClientIsRejectedAtHello) {
   ::close(fd);
 
   // Exactly one 'A' frame with an error ack, then the daemon hung up.
-  robust::WireFrame frame;
-  ASSERT_EQ(robust::decode_wire_frame(reply_bytes, &frame),
+  std::vector<robust::WireFrame> frames;
+  ASSERT_EQ(robust::decode_wire_frames(reply_bytes, &frames),
             robust::WireDecode::kOk);
+  ASSERT_EQ(frames.size(), 1u);
+  const robust::WireFrame& frame = frames[0];
   EXPECT_EQ(frame.tag, serve::kTagHelloAck);
   EXPECT_EQ(frame.payload.rfind("error ", 0), 0u) << frame.payload;
   EXPECT_NE(frame.payload.find("version skew"), std::string::npos)
